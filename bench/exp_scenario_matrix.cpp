@@ -11,7 +11,8 @@
 //   2. replays every repetition serially through a second, traced engine and
 //      audits the event stream with obs::InvariantAuditor against the
 //      repetition's own reported result — then checks the serial audited
-//      totals equal the parallel campaign's bit for bit;
+//      totals equal the parallel campaign's bit for bit (kernel-eligible
+//      cells narrate on the flat kernel, the rest on the event loop);
 //   3. re-runs one campaign at a different worker count and compares exactly.
 //
 // Any audit failure or divergence makes the bench exit nonzero, so CI treats

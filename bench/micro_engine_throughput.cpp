@@ -4,7 +4,7 @@
 // The workload is the paper's working point (MTBF 5 h Weibull beta=0.6,
 // campaign 1000 h, pair delta 18 s / 1800 s at OCI) swept over the baseline
 // plus k in [20, 32] — one baseline campaign and 13 Shiraz campaigns over the
-// same `reps` failure streams. Four evaluation modes, all bit-identical
+// same `reps` failure streams. Six evaluation modes, all bit-identical
 // (checked here and enforced by tests/sim/trace_replay_test.cpp and
 // tests/sim/kernel_test.cpp):
 //
@@ -20,6 +20,14 @@
 //             campaigns through sim::flat_replay, the k range through the
 //             kernel sweep — batched passes over the trace's prefix-sum
 //             arrays, no virtual dispatch in the inner loops
+//   audited-loop / audited-kernel
+//             the audit serve's pair_whatif ships: TraceStore, then every
+//             repetition of every campaign replays serially with an
+//             obs::InvariantAuditor armed as the engine's sink and is
+//             verified against its own result; each campaign is the
+//             rep-order mean of its audited results. Timed on the event
+//             loop (flat_kernel off) and on the narrating kernel; both must
+//             see the same number of events. `--jobs` does not apply.
 //
 // Reported: wall seconds, campaigns/s (campaign = one policy x one rep run)
 // and effective gaps/s (failure draws the equivalent sampled campaigns
@@ -35,11 +43,13 @@
 // build exactly like a correctness bug.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <vector>
 
 #include "bench_util.h"
+#include "obs/audit_sim.h"
 #include "reliability/weibull.h"
 #include "sim/optimizer.h"
 #include "sim/trace.h"
@@ -55,9 +65,12 @@ namespace {
 // modest (~1.2x); its floor just pins "replay is never slower than
 // sampling". The sweep runs ~11x over sampled, and the kernel's floor is the
 // acceptance bar itself: the flat kernel must beat the event-loop sweep 3x.
+// An audited replay pays the auditor per event on both paths, so narration
+// gains less than the bare kernel; its floor sits below the 2-3.5x observed.
 constexpr double kFloorReplayVsSampled = 1.05;
 constexpr double kFloorSweepVsSampled = 5.0;
 constexpr double kFloorKernelVsSweep = 3.0;
+constexpr double kFloorAuditedKernelVsLoop = 1.5;
 
 struct SweepUsefulByK {
   double baseline_lw = 0.0;
@@ -206,10 +219,48 @@ int main(int argc, char** argv) {
     }
     modes.push_back(std::move(m));
   };
+  // -- audited: serve's audit shape — a serial per-rep replay with the
+  //    auditor as the engine's sink, verified per rep, campaigns summarized
+  //    in rep order. `audited_events[flat_kernel]` keeps each path's event
+  //    count for the cross-check below.
+  std::uint64_t audited_events[2] = {0, 0};
+  auto run_audited = [&](bool flat_kernel) {
+    SweepUsefulByK u;
+    obs::InvariantAuditor auditor;
+    sim::EngineConfig acfg = ecfg;
+    acfg.flat_kernel = flat_kernel;
+    acfg.sink = &auditor;
+    const sim::Engine audited(reliability::Weibull::from_mtbf(0.6, mtbf), acfg);
+    const sim::TraceStore traces(audited, seed);
+    traces.ensure(reps);
+    std::uint64_t events = 0;
+    auto campaign = [&](const sim::Scheduler& policy) {
+      std::vector<sim::SimResult> results(reps);
+      for (std::size_t r = 0; r < reps; ++r) {
+        auditor.clear();
+        results[r] = audited.replay(jobs, policy, traces.trace(r));
+        obs::verify_against(auditor, results[r]);  // throws on divergence
+        events += auditor.events_seen();
+      }
+      return sim::summarize_campaign(results).mean;
+    };
+    const sim::SimResult base = campaign(baseline);
+    u.baseline_lw = base.apps[0].useful;
+    u.baseline_hw = base.apps[1].useful;
+    for (int k = k_lo; k <= k_hi; ++k) {
+      const sim::SimResult r = campaign(sim::ShirazPairScheduler(k));
+      u.by_k.push_back({r.apps[0].useful, r.apps[1].useful});
+    }
+    audited_events[flat_kernel ? 1 : 0] = events;
+    return u;
+  };
+
   time_mode("sampled", run_sampled);
   time_mode("replayed", run_replayed);
   time_mode("sweep", run_sweep);
   time_mode("kernel", run_kernel);
+  time_mode("audited-loop", [&] { return run_audited(false); });
+  time_mode("audited-kernel", [&] { return run_audited(true); });
 
   // Every mode must produce the same bits — replay and the kernel are
   // optimizations, never approximations.
@@ -220,6 +271,14 @@ int main(int argc, char** argv) {
       std::printf("BIT-IDENTITY FAILURE: mode '%s' diverges from 'sampled'\n",
                   modes[i].name);
     }
+  }
+  // The narrating kernel must emit exactly as many events as the loop.
+  const bool events_match = audited_events[0] == audited_events[1];
+  if (!events_match) {
+    std::printf("EVENT-COUNT FAILURE: audited-kernel saw %llu events, "
+                "audited-loop %llu\n",
+                static_cast<unsigned long long>(audited_events[1]),
+                static_cast<unsigned long long>(audited_events[0]));
   }
 
   const double gaps_per_sweep =
@@ -237,17 +296,23 @@ int main(int argc, char** argv) {
   const double speedup_sweep = modes[0].secs / modes[2].secs;
   const double speedup_kernel = modes[0].secs / modes[3].secs;
   const double speedup_kernel_vs_sweep = modes[2].secs / modes[3].secs;
+  const double speedup_audited_kernel_vs_loop = modes[4].secs / modes[5].secs;
   const double speedup_store =
       std::max({speedup_replay, speedup_sweep, speedup_kernel});
   std::printf("\n%zu campaigns (%zu policies x %zu reps), %zu gaps per "
-              "repetition set; bit-identity across modes: %s.\n",
+              "repetition set; bit-identity across modes: %s; audited events "
+              "%llu (kernel) vs %llu (loop): %s.\n",
               campaigns_per_sweep, n_k + 1, reps, gaps_per_rep_total,
-              bit_identical ? "OK" : "FAILED");
+              bit_identical ? "OK" : "FAILED",
+              static_cast<unsigned long long>(audited_events[1]),
+              static_cast<unsigned long long>(audited_events[0]),
+              events_match ? "OK" : "FAILED");
   bench::note("Replay removes the per-draw dispatch and RNG work; the sweep "
               "evaluator shares each gap's light-weight prefix across the "
               "whole k range; the flat kernel additionally strips the "
               "per-segment virtual dispatch and event bookkeeping into a "
-              "batched pass over the trace's prefix-sum arrays.");
+              "batched pass over the trace's prefix-sum arrays, and narrates "
+              "the event loop's exact stream when an auditor is armed.");
 
   // The --check gate: committed floors on mode-vs-mode ratios.
   bool floors_ok = true;
@@ -261,12 +326,14 @@ int main(int argc, char** argv) {
         {"replayed_vs_sampled", speedup_replay, kFloorReplayVsSampled},
         {"sweep_vs_sampled", speedup_sweep, kFloorSweepVsSampled},
         {"kernel_vs_sweep", speedup_kernel_vs_sweep, kFloorKernelVsSweep},
+        {"audited_kernel_vs_loop", speedup_audited_kernel_vs_loop,
+         kFloorAuditedKernelVsLoop},
     };
     std::printf("\nSpeedup floors (--check):\n");
     for (const Floor& f : floors) {
       const bool ok = f.value >= f.floor;
       floors_ok = floors_ok && ok;
-      std::printf("  %-20s %6.2fx  (floor %.2fx)  %s\n", f.name, f.value,
+      std::printf("  %-22s %6.2fx  (floor %.2fx)  %s\n", f.name, f.value,
                   f.floor, ok ? "ok" : "REGRESSION");
     }
   }
@@ -274,7 +341,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     // Historical document shape (BENCH_engine.json predates the shared
     // "shiraz-bench-v1" schema): the top-level keys below are trended by CI,
-    // so they stay as they are; only the rendering moved to JsonWriter.
+    // so existing keys stay as they are and new modes only append.
     JsonWriter w;
     w.begin_object();
     w.kv("bench", "micro_engine_throughput");
@@ -306,14 +373,18 @@ int main(int argc, char** argv) {
     w.kv("speedup_sweep_vs_sampled", speedup_sweep);
     w.kv("speedup_kernel_vs_sampled", speedup_kernel);
     w.kv("speedup_kernel_vs_sweep", speedup_kernel_vs_sweep);
+    w.kv("speedup_audited_kernel_vs_loop", speedup_audited_kernel_vs_loop);
     w.kv("speedup_store_vs_sampled", speedup_store);
     w.kv("bit_identical", bit_identical);
+    w.kv("audited_events", audited_events[1]);
+    w.kv("audited_events_match", events_match);
     w.key("check").begin_object();
     w.kv("enabled", check);
     w.kv("floor_replayed_vs_sampled", kFloorReplayVsSampled);
     w.kv("floor_sweep_vs_sampled", kFloorSweepVsSampled);
     w.kv("floor_kernel_vs_sweep", kFloorKernelVsSweep);
-    w.kv("pass", bit_identical && floors_ok);
+    w.kv("floor_audited_kernel_vs_loop", kFloorAuditedKernelVsLoop);
+    w.kv("pass", bit_identical && events_match && floors_ok);
     w.end_object();
     w.end_object();
 
@@ -332,5 +403,5 @@ int main(int argc, char** argv) {
     std::printf("Wrote %s.\n", json_path.c_str());
   }
 
-  return bit_identical && floors_ok ? 0 : 1;
+  return bit_identical && events_match && floors_ok ? 0 : 1;
 }

@@ -6,9 +6,12 @@
 // through an EventSink armed via sim::EngineConfig::sink (single runs) or
 // sim::CampaignOptions::sink (campaigns). Sinks are pure observers: they
 // never touch the RNG, so an armed sink is bit-identical to an untraced run
-// (regression-tested in tests/obs/event_trace_test.cpp), and a null sink
-// costs one pointer compare per would-be event. Parallel campaigns buffer
-// events per repetition and merge them in repetition order, so the stream is
+// (regression-tested in tests/obs/event_trace_test.cpp). On the event loop
+// a null sink costs one pointer compare per would-be event; the flat replay
+// kernel (sim/kernel.h) picks its narrating or silent instantiation once per
+// repetition, so an unarmed kernel run pays nothing per event and an armed
+// one pays only the sink's own on_event. Parallel campaigns buffer events
+// per repetition and merge them in repetition order, so the stream is
 // identical for every `--jobs` value.
 #pragma once
 

@@ -83,6 +83,22 @@ std::string render_stream_event(const obs::Event& e) {
   return w.str();
 }
 
+/// Feeds one narrated repetition to its auditor and, alongside, to the
+/// recorder that keeps the events for their downstream consumers.
+class AuditTee final : public obs::EventSink {
+ public:
+  AuditTee(obs::InvariantAuditor& auditor, obs::EventRecorder& recorder)
+      : auditor_(auditor), recorder_(recorder) {}
+  void on_event(const obs::Event& event) override {
+    auditor_.on_event(event);
+    recorder_.on_event(event);
+  }
+
+ private:
+  obs::InvariantAuditor& auditor_;
+  obs::EventRecorder& recorder_;
+};
+
 }  // namespace
 
 /// Registry handles resolved once; references stay valid for the registry's
@@ -336,31 +352,36 @@ std::string Service::do_whatif(const char* op, const PairWhatifRequest& r,
   traces.set_metrics(metrics_.get());
   sim::CampaignOptions copts;
   copts.traces = &traces;
-  const sim::ShirazPairScheduler shiraz(k);
   const sim::SimResult base = engine.run_many(
       {lwj, hw_base}, sim::AlternateAtFailure{}, reps, r.seed, copts);
-  const sim::SimResult sz =
-      engine.run_many({lwj, hw_shiraz}, shiraz, reps, r.seed, copts);
 
-  // Request audit: re-replay every repetition through a traced engine and
-  // check the event stream against that repetition's own totals; forward
-  // the audited stream to the request-audit log and — for subscribe — to
-  // the client's stream, rep-stamped, in repetition order. A failed audit
-  // throws (-> error response), so a divergence can never ship a silent
-  // answer.
-  std::uint64_t events = 0;
+  // The Shiraz campaign is the audited run: each repetition replays through
+  // the flat kernel with the InvariantAuditor armed as its sink, and its
+  // narrated stream is checked against that repetition's own result. The
+  // shipped deltas are the rep-order mean of exactly these audited results
+  // (what run_many computes), so every number in the response has passed
+  // the audit. A failed audit throws (-> error response), so a divergence
+  // can never ship a silent answer. A recorder rides along only when the
+  // events go somewhere — the client's subscribe stream or the request-audit
+  // log — and a repetition's events leave only after its audit passes,
+  // rep-stamped, in repetition order.
+  const bool record = stream != nullptr || config_.audit_log != nullptr;
+  obs::InvariantAuditor auditor;
   obs::EventRecorder recorder;
-  sim::EngineConfig tcfg = ecfg;
-  tcfg.sink = &recorder;
-  const sim::Engine traced(reliability::Weibull::from_mtbf(m.beta, mtbf), tcfg);
+  AuditTee tee(auditor, recorder);
+  sim::EngineConfig acfg = ecfg;
+  acfg.sink = record ? static_cast<obs::EventSink*>(&tee) : &auditor;
+  const sim::Engine audited(reliability::Weibull::from_mtbf(m.beta, mtbf), acfg);
+  const sim::ShirazPairScheduler shiraz(k);
+  std::vector<sim::SimResult> audited_reps(reps);
+  std::uint64_t events = 0;
   for (std::size_t rep = 0; rep < reps; ++rep) {
+    auditor.clear();
     recorder.clear();
-    const sim::SimResult res =
-        traced.replay({lwj, hw_shiraz}, shiraz, traces.trace(rep));
-    obs::InvariantAuditor auditor;
-    for (const obs::Event& e : recorder.events()) auditor.on_event(e);
-    obs::verify_against(auditor, res);
-    events += recorder.events().size();
+    audited_reps[rep] =
+        audited.replay({lwj, hw_shiraz}, shiraz, traces.trace(rep));
+    obs::verify_against(auditor, audited_reps[rep]);
+    events += auditor.events_seen();
     // Stream outside any lock: the sink writes to this connection's socket
     // and is only ever called from the thread handling this request.
     if (stream != nullptr) {
@@ -378,6 +399,7 @@ std::string Service::do_whatif(const char* op, const PairWhatifRequest& r,
       }
     }
   }
+  const sim::SimResult sz = sim::summarize_campaign(audited_reps).mean;
 
   JsonWriter w = begin_response(op, id);
   w.kv("k", k);

@@ -15,9 +15,10 @@
 // Solves go through the shared core::SolverCache: hand the daemon the same
 // cache instance as a sched::WorkloadManager and a 10k-job campaign and a
 // live query hit the same memo table. pair_whatif runs replay-backed
-// campaigns through sim::TraceStore and re-replays every repetition through
-// obs::InvariantAuditor; the audited event stream is forwarded to the
-// configured EventSink — the request-audit log.
+// campaigns through sim::TraceStore; every Shiraz repetition narrates into
+// obs::InvariantAuditor as it runs on the flat kernel, so the audited run is
+// the answer run. The audited event stream is forwarded to the configured
+// EventSink — the request-audit log.
 //
 // Telemetry lives on an obs::MetricsRegistry (shiraz_serve_* counters, a
 // request-latency histogram, and — folded in via the shared registry — the
@@ -74,7 +75,7 @@ struct ServiceCounters {
   std::uint64_t stats = 0;
   std::uint64_t metrics = 0;
   std::uint64_t shutdown = 0;
-  /// pair_whatif/subscribe repetitions replayed through the InvariantAuditor.
+  /// pair_whatif/subscribe repetitions audited by the InvariantAuditor.
   std::uint64_t audited_reps = 0;
 };
 

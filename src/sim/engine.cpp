@@ -112,9 +112,10 @@ SimResult Engine::run_impl(const std::vector<SimJob>& jobs, const Scheduler& sch
 
   // Closed-form-eligible replays take the flat kernel (sim/kernel.h): the
   // same result, bit for bit, from a batched pass over the trace's
-  // structure-of-arrays buffers instead of the per-event walk below.
-  // Ineligible configurations — live runs, alarms, sinks, costs, aperiodic
-  // schedules, stateful policies — fall through to the event loop.
+  // structure-of-arrays buffers instead of the per-event walk below. An
+  // armed sink rides along: the kernel narrates the same event stream this
+  // loop would emit. Ineligible configurations — live runs, alarms, costs,
+  // aperiodic schedules, stateful policies — fall through to the event loop.
   if (trace != nullptr && config_.flat_kernel) {
     SimResult flat;
     if (try_flat_replay(config_, jobs, scheduler, alarms, sink, *trace, &flat)) {

@@ -52,11 +52,12 @@ struct EngineConfig {
   /// run_campaign buffers per repetition and merges in repetition order.
   obs::EventSink* sink = nullptr;
   /// Dispatch trace replays of closed-form-eligible configurations (free
-  /// restarts/switches, periodic schedules, no alarms, no sink, a flat
-  /// phase-plan scheduler — see sim/kernel.h) to the flat replay kernel.
-  /// The kernel is bit-identical to the event loop (tests/sim/kernel_test),
-  /// so this is purely a speed knob; false forces the event loop everywhere
-  /// (benchmarking, differential testing).
+  /// restarts/switches, periodic schedules, no alarms, a flat phase-plan
+  /// scheduler — see sim/kernel.h) to the flat replay kernel. The kernel is
+  /// bit-identical to the event loop and, with a sink armed, narrates the
+  /// loop's exact event stream (tests/sim/kernel_test), so this is purely a
+  /// speed knob; false forces the event loop everywhere (benchmarking,
+  /// differential testing).
   bool flat_kernel = true;
   /// When non-null, every run counts into this registry (obs/metrics.h):
   /// repetitions evaluated, kernel-vs-event-loop dispatch, gaps consumed.

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <typeinfo>
 #include <vector>
 
 #include "common/error.h"
+#include "obs/event.h"
 #include "sim/optimizer.h"
 #include "sim/trace.h"
 
@@ -109,12 +111,9 @@ const char* build_plan(std::size_t num_apps, const Scheduler& scheduler,
 const char* check_and_plan(const EngineConfig& config,
                            const std::vector<SimJob>& jobs,
                            const Scheduler& scheduler, const AlarmSource* alarms,
-                           const obs::EventSink* sink, FlatPlan* out) {
+                           FlatPlan* out) {
   if (config.restart_cost != 0.0) return "restart cost is not free";
   if (config.switch_cost != 0.0) return "switch cost is not free";
-  if (config.sink != nullptr || sink != nullptr) {
-    return "an event sink observes the run";
-  }
   if (alarms != nullptr) return "an alarm source is armed";
   if (jobs.empty()) return "no jobs";
   for (const SimJob& job : jobs) {
@@ -124,10 +123,27 @@ const char* check_and_plan(const EngineConfig& config,
   return build_plan(jobs.size(), scheduler, out);
 }
 
-/// The kernel proper: one repetition over a prebuilt phase plan.
+/// Hands one event to the sink — the event loop's `emit`, field for field
+/// (Event::rep stays 0; campaign merges stamp it).
+void emit(obs::EventSink* sink, obs::EventKind kind, Seconds time,
+          Seconds duration, std::size_t app, Seconds value = 0.0) {
+  obs::Event e;
+  e.kind = kind;
+  e.time = time;
+  e.duration = duration;
+  e.app = static_cast<std::int32_t>(app);
+  e.value = value;
+  sink->on_event(e);
+}
+
+/// The kernel proper: one repetition over a prebuilt phase plan. kNarrate
+/// emits the event loop's stream into `sink` at the points where the loop
+/// emits it, from the same doubles; without it no emit code is compiled in.
+template <bool kNarrate>
 SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
                    const Scheduler& scheduler, const FlatPlan& flat,
-                   const FailureTrace& trace) {
+                   const FailureTrace& trace,
+                   [[maybe_unused]] obs::EventSink* sink) {
   SHIRAZ_REQUIRE(trace.horizon() >= config.t_total,
                  "trace horizon does not cover the engine horizon");
   for (const SimJob& job : jobs) {
@@ -181,10 +197,23 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
       const Seconds seg_end = write_start + delta;
       if (horizon <= seg_end && horizon <= next_fail) {
         res.truncated += horizon - now;
+        if constexpr (kNarrate) {
+          if (horizon > write_start) {
+            emit(sink, obs::EventKind::kCheckpointBegin, write_start, 0.0, ai);
+          }
+          emit(sink, obs::EventKind::kHorizonTruncated, now, horizon - now, ai);
+        }
         return res;  // `now = horizon` in the engine; nothing reads it after
       }
       if (next_fail < seg_end) {
         am->lost += next_fail - now;
+        if constexpr (kNarrate) {
+          if (next_fail > write_start) {
+            emit(sink, obs::EventKind::kCheckpointBegin, write_start, 0.0, ai);
+          }
+          emit(sink, obs::EventKind::kSegmentWiped, now, next_fail - now, ai);
+          emit(sink, obs::EventKind::kFailure, next_fail, 0.0, ai);
+        }
         now = next_fail;
         ++res.failures;
         ++am->failures_hit;
@@ -195,11 +224,23 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
       am->useful += tau;
       am->io += delta;
       ++am->checkpoints;
+      if constexpr (kNarrate) {
+        emit(sink, obs::EventKind::kCheckpointBegin, write_start, 0.0, ai);
+        emit(sink, obs::EventKind::kCheckpointCommit, seg_end, delta, ai, tau);
+      }
       now = seg_end;
       if (++done_in_phase >= plan[phase].budget) {
         ++phase;
         const std::size_t next_app = plan[phase].app;
-        if (next_app != ai) ++res.switches;  // free hand-off (switch_cost 0)
+        if (next_app != ai) {
+          ++res.switches;  // free hand-off (switch_cost 0)
+          if constexpr (kNarrate) {
+            // The loop's switch span is `switch_end - now` with
+            // switch_end == now: exactly 0.0.
+            emit(sink, obs::EventKind::kAppSwitch, now, 0.0, next_app,
+                 static_cast<double>(ai));
+          }
+        }
         ai = next_app;
         tau = taus[ai];
         delta = deltas[ai];
@@ -210,16 +251,24 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
   }
 }
 
+/// Dispatches on narration once per repetition, outside the hot loop.
+SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
+                   const Scheduler& scheduler, const FlatPlan& flat,
+                   const FailureTrace& trace, obs::EventSink* sink) {
+  return sink != nullptr
+             ? run_flat<true>(config, jobs, scheduler, flat, trace, sink)
+             : run_flat<false>(config, jobs, scheduler, flat, trace, nullptr);
+}
+
 }  // namespace
 
 KernelEligibility flat_kernel_eligibility(const EngineConfig& config,
                                           const std::vector<SimJob>& jobs,
                                           const Scheduler& scheduler,
-                                          const AlarmSource* alarms,
-                                          const obs::EventSink* sink) {
+                                          const AlarmSource* alarms) {
   FlatPlan plan;
   if (const char* reason =
-          check_and_plan(config, jobs, scheduler, alarms, sink, &plan)) {
+          check_and_plan(config, jobs, scheduler, alarms, &plan)) {
     return KernelEligibility{false, reason};
   }
   return KernelEligibility{true, ""};
@@ -228,24 +277,23 @@ KernelEligibility flat_kernel_eligibility(const EngineConfig& config,
 SimResult flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
                       const Scheduler& scheduler, const FailureTrace& trace) {
   FlatPlan flat;
-  const char* reason =
-      check_and_plan(config, jobs, scheduler, nullptr, nullptr, &flat);
+  const char* reason = check_and_plan(config, jobs, scheduler, nullptr, &flat);
   SHIRAZ_REQUIRE(reason == nullptr,
                  std::string("flat_replay on an ineligible configuration: ") +
                      reason);
-  return run_flat(config, jobs, scheduler, flat, trace);
+  return run_flat(config, jobs, scheduler, flat, trace, config.sink);
 }
 
 bool try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
                      const Scheduler& scheduler, const AlarmSource* alarms,
-                     const obs::EventSink* sink, const FailureTrace& trace,
+                     obs::EventSink* sink, const FailureTrace& trace,
                      SimResult* out) {
   SHIRAZ_REQUIRE(out != nullptr, "try_flat_replay needs an output slot");
   FlatPlan flat;
-  if (check_and_plan(config, jobs, scheduler, alarms, sink, &flat) != nullptr) {
+  if (check_and_plan(config, jobs, scheduler, alarms, &flat) != nullptr) {
     return false;
   }
-  *out = run_flat(config, jobs, scheduler, flat, trace);
+  *out = run_flat(config, jobs, scheduler, flat, trace, sink);
   return true;
 }
 

@@ -1,13 +1,13 @@
 // Flat replay kernel: batched structure-of-arrays campaign evaluation.
 //
 // For closed-form-eligible configurations — free restarts and switches,
-// periodic schedules, no alarm source, no event sink, and a scheduler whose
-// per-gap behavior is a fixed phase plan — a campaign over a materialized
+// periodic schedules, no alarm source, and a scheduler whose per-gap
+// behavior is a fixed phase plan — a campaign over a materialized
 // FailureTrace is fully determined by the trace's gap/prefix-sum arrays.
 // flat_replay() walks those arrays directly: no virtual next_interval per
-// segment, no SchedContext construction, no per-event emit checks, no
-// per-gap checkpoint-count vectors — just the engine's three comparisons and
-// its accumulator additions per segment.
+// segment, no SchedContext construction, no per-gap checkpoint-count
+// vectors — just the engine's three comparisons and its accumulator
+// additions per segment.
 //
 // Bit-identity contract (the same one sim/optimizer.cpp's sweep documents):
 // the kernel performs the engine's useful/io/lost/truncated additions on the
@@ -20,6 +20,15 @@
 // (enforced by tests/sim/kernel_test.cpp and micro_engine_throughput
 // --check); Engine::run_impl dispatches here automatically when
 // EngineConfig::flat_kernel is set and eligibility holds.
+//
+// Narration contract: an event sink does not make a run ineligible. With a
+// sink armed the kernel emits exactly the event loop's stream for the same
+// run — checkpoint-begin, checkpoint-commit, segment-wiped, failure,
+// app-switch and horizon-truncated, in the loop's order and with its
+// doubles (the only kinds an eligible run can produce) — so an
+// InvariantAuditor armed on the kernel audits the numbers the kernel
+// returns. Without a sink the kernel is the same loop with no emit code at
+// all (narration is a template parameter, not a per-event branch).
 #pragma once
 
 #include <vector>
@@ -42,35 +51,38 @@ struct KernelEligibility {
 
 /// Checks every eligibility rule the kernel relies on:
 ///  * config models free restarts and switches (restart_cost == switch_cost
-///    == 0) and has no engine-level event sink;
-///  * no alarm source and no campaign sink (pass the call-site values);
+///    == 0);
+///  * no alarm source (pass the call-site value);
 ///  * every job schedule is periodic (IntervalSchedule::period() non-null);
 ///  * the scheduler is exactly (typeid, not is-a — subclasses may override
 ///    hooks) AlternateAtFailure, ShirazPairScheduler, MultiSwitchScheduler,
 ///    or PairRotationScheduler, with an app count the policy accepts.
 /// Anything else falls back to the event loop, which preserves both behavior
 /// and error messages (e.g. a pair policy given three apps still throws the
-/// policy's own InvalidArgument).
+/// policy's own InvalidArgument). Event sinks play no part: the kernel
+/// narrates (see the narration contract above).
 KernelEligibility flat_kernel_eligibility(const EngineConfig& config,
                                           const std::vector<SimJob>& jobs,
                                           const Scheduler& scheduler,
-                                          const AlarmSource* alarms,
-                                          const obs::EventSink* sink);
+                                          const AlarmSource* alarms);
 
-/// Replays one repetition through the flat kernel. Requires eligibility (see
+/// Replays one repetition through the flat kernel, narrating into
+/// `config.sink` when it is set. Requires eligibility (see
 /// flat_kernel_eligibility) and a trace whose horizon covers the config's;
-/// returns exactly what Engine::replay returns for the same inputs.
+/// returns — and narrates — exactly what Engine::replay does for the same
+/// inputs.
 SimResult flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
                       const Scheduler& scheduler, const FailureTrace& trace);
 
 /// The engine's dispatch entry: checks eligibility and, when it holds, runs
 /// the kernel into `*out` in one pass — the phase plan is built exactly once
 /// per repetition (flat_kernel_eligibility followed by flat_replay would
-/// build it twice). Returns false untouched when ineligible, so the caller
-/// falls back to the event loop.
+/// build it twice) — narrating into `sink` when it is non-null. Returns
+/// false untouched when ineligible, so the caller falls back to the event
+/// loop.
 bool try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
                      const Scheduler& scheduler, const AlarmSource* alarms,
-                     const obs::EventSink* sink, const FailureTrace& trace,
+                     obs::EventSink* sink, const FailureTrace& trace,
                      SimResult* out);
 
 /// One repetition of the shared-prefix k sweep on the kernel: the flat

@@ -18,10 +18,16 @@
 #include <vector>
 
 #include "common/json_parse.h"
+#include "common/units.h"
+#include "obs/event.h"
 #include "obs/metrics.h"
+#include "reliability/weibull.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "sim/engine.h"
+#include "sim/scheduler.h"
+#include "sim/trace.h"
 
 namespace shiraz::serve {
 namespace {
@@ -138,6 +144,41 @@ TEST(ServeMetricsOps, SubscribeStreamsExactlyTheAuditedEvents) {
   EXPECT_EQ(streamed, streamed2);
 }
 
+TEST(ServeMetricsOps, SubscribeFramesEqualTheEventLoopStream) {
+  // The frames are the audited kernel's narration; an event-loop engine
+  // replaying the same traces must record the same events, field for field.
+  Service service;
+  std::vector<std::string> frames;
+  const Service::Result res = service.handle_line(
+      kSubscribe, [&frames](const std::string& line) { frames.push_back(line); });
+  ASSERT_TRUE(parse_json(res.response).at("ok").boolean);
+
+  sim::EngineConfig cfg;  // the protocol defaults: 1000 h, MTBF 5 h, beta 0.6
+  cfg.t_total = hours(1000.0);
+  cfg.flat_kernel = false;
+  const sim::Engine loop(reliability::Weibull::from_mtbf(0.6, hours(5.0)), cfg);
+  const sim::TraceStore traces(loop, 11);
+  obs::EventRecorder recorder;
+  sim::CampaignOptions opts;
+  opts.traces = &traces;
+  opts.sink = &recorder;
+  (void)loop.run_many({sim::SimJob::at_oci("light", 18.0, hours(5.0)),
+                       sim::SimJob::at_oci("heavy", 1800.0, hours(5.0))},
+                      sim::ShirazPairScheduler(26), 3, 11, opts);
+
+  const std::vector<obs::Event>& want = recorder.events();
+  ASSERT_EQ(frames.size(), want.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const JsonValue f = parse_json(frames[i]);
+    ASSERT_EQ(f.at("rep").number, static_cast<double>(want[i].rep)) << i;
+    ASSERT_EQ(f.at("kind").string, obs::kind_name(want[i].kind)) << i;
+    ASSERT_EQ(f.at("t_s").number, want[i].time) << i;
+    ASSERT_EQ(f.at("duration_s").number, want[i].duration) << i;
+    ASSERT_EQ(f.at("app").number, static_cast<double>(want[i].app)) << i;
+    ASSERT_EQ(f.at("value").number, want[i].value) << i;
+  }
+}
+
 TEST(ServeMetricsOps, StatsKeepsLegacyFieldsAndAppendsTheSnapshot) {
   Service service;
   service.handle(kSolve);
@@ -156,9 +197,13 @@ TEST(ServeMetricsOps, StatsKeepsLegacyFieldsAndAppendsTheSnapshot) {
   EXPECT_EQ(snap.at("schema").string, obs::kMetricsSchema);
   const JsonValue* reps = find_metric(snap, "shiraz_sim_reps_total");
   ASSERT_NE(reps, nullptr);
-  // subscribe ran base + shiraz campaigns of 3 reps each (the audit replays
-  // go through a sink-armed engine, which also counts).
-  EXPECT_GE(reps->at("value").number, 6.0);
+  // subscribe ran the base campaign and the audited Shiraz repetitions, 3
+  // reps each, all on the flat kernel: the audited run is the answer run.
+  EXPECT_EQ(reps->at("value").number, 2.0 * 3.0);
+  const JsonValue* loop_runs =
+      find_metric(snap, "shiraz_sim_event_loop_runs_total");
+  ASSERT_NE(loop_runs, nullptr);
+  EXPECT_EQ(loop_runs->at("value").number, 0.0);
 }
 
 TEST(ServeMetricsOps, ServerStreamsSubscribeFramesOverTheSocket) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -16,6 +17,8 @@
 #include "sched/manager.h"
 #include "sim/engine.h"
 #include "sim/optimizer.h"
+#include "sim/scheduler.h"
+#include "sim/trace.h"
 #include "reliability/weibull.h"
 
 namespace shiraz::serve {
@@ -98,6 +101,53 @@ TEST(ServeService, PairWhatifMatchesCanonicalCampaign) {
   EXPECT_EQ(sim.at("delta_hw_h").number, as_hours(c.delta_hw));
   EXPECT_EQ(sim.at("delta_total_h").number, as_hours(c.delta_total));
   EXPECT_EQ(doc.at("audited_reps").number, 4.0);
+}
+
+TEST(ServeService, PairWhatifSimDeltasEqualEventLoopCampaigns) {
+  // The shipped deltas are the mean of the audited kernel repetitions;
+  // event-loop campaigns over the same traces must give the same bits, for
+  // a caller's k and for a cache-solved Shiraz+ k alike.
+  struct Case {
+    const char* line;
+    unsigned stretch;
+  };
+  const Case cases[] = {
+      {R"({"op":"pair_whatif","delta_lw_s":18,"delta_hw_s":1800,"k":26,"reps":4,"seed":7})",
+       1},
+      {R"({"op":"pair_whatif","delta_lw_s":18,"delta_hw_s":1800,"stretch":4,"reps":3,"seed":9})",
+       4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.line);
+    Service service;
+    const JsonValue doc = parse_json(service.handle(c.line));
+    ASSERT_TRUE(doc.at("ok").boolean);
+    const auto reps = static_cast<std::size_t>(doc.at("reps").number);
+    const auto seed = static_cast<std::uint64_t>(doc.at("seed").number);
+
+    sim::EngineConfig cfg;
+    cfg.t_total = hours(1000.0);
+    cfg.flat_kernel = false;
+    const sim::Engine loop(reliability::Weibull::from_mtbf(0.6, hours(5.0)),
+                           cfg);
+    const sim::TraceStore traces(loop, seed);
+    sim::CampaignOptions opts;
+    opts.traces = &traces;
+    const sim::SimJob lw = sim::SimJob::at_oci("light", 18.0, hours(5.0));
+    const sim::SimResult base =
+        loop.run_many({lw, sim::SimJob::at_oci("heavy", 1800.0, hours(5.0))},
+                      sim::AlternateAtFailure{}, reps, seed, opts);
+    const sim::SimResult sz = loop.run_many(
+        {lw, sim::SimJob::at_oci("heavy", 1800.0, hours(5.0), c.stretch)},
+        sim::ShirazPairScheduler(static_cast<int>(doc.at("k").number)), reps,
+        seed, opts);
+    const double sim_lw = sz.apps[0].useful - base.apps[0].useful;
+    const double sim_hw = sz.apps[1].useful - base.apps[1].useful;
+    const JsonValue& sim = doc.at("sim");
+    EXPECT_EQ(sim.at("delta_lw_h").number, as_hours(sim_lw));
+    EXPECT_EQ(sim.at("delta_hw_h").number, as_hours(sim_hw));
+    EXPECT_EQ(sim.at("delta_total_h").number, as_hours(sim_lw + sim_hw));
+  }
 }
 
 TEST(ServeService, PairWhatifStreamsRepStampedAuditLog) {

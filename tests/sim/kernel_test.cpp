@@ -1,9 +1,10 @@
 // The flat replay kernel contract (sim/kernel.h): for every closed-form-
 // eligible configuration the kernel's result equals the event loop's bit for
 // bit — across schedulers, the whole scenario-corpus regime catalog, and
-// every worker count — and every ineligible configuration falls back to the
-// event loop with identical behavior. Bit-identity here means EXPECT_EQ on
-// doubles: the kernel is an optimization, never an approximation.
+// every worker count — a sink-armed kernel narrates exactly the event loop's
+// stream, and every ineligible configuration falls back to the event loop
+// with identical behavior. Bit-identity here means EXPECT_EQ on doubles: the
+// kernel is an optimization, never an approximation.
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -16,6 +17,7 @@
 #include "checkpoint/schedule.h"
 #include "common/error.h"
 #include "obs/event.h"
+#include "obs/metrics.h"
 #include "predict/oracle.h"
 #include "predict/predictor.h"
 #include "reliability/weibull.h"
@@ -63,15 +65,28 @@ void expect_identical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.switches, b.switches);
 }
 
-/// The three paper policies the corpus matrix exercises. Shiraz+ stretches
-/// the heavy member's OCI by 4 (an arbitrary catalog-scale factor).
-enum class PolicyKind { kBaseline, kShiraz, kShirazPlus };
+/// The three paper policies the corpus matrix exercises, plus the plan
+/// shapes only the narration matrix needs: a heavy-only Shiraz pair (k = 0),
+/// a three-app multi-switch chain with a skipped turn, and two rotating
+/// pairs, one of them k-less. Shiraz+ stretches the heavy member's OCI by 4
+/// (an arbitrary catalog-scale factor).
+enum class PolicyKind {
+  kBaseline,
+  kShiraz,
+  kShirazPlus,
+  kShirazK0,
+  kMultiSwitch,
+  kPairRotation,
+};
 
 const char* policy_name(PolicyKind p) {
   switch (p) {
     case PolicyKind::kBaseline: return "Baseline";
     case PolicyKind::kShiraz: return "Shiraz";
     case PolicyKind::kShirazPlus: return "ShirazPlus";
+    case PolicyKind::kShirazK0: return "ShirazK0";
+    case PolicyKind::kMultiSwitch: return "MultiSwitch";
+    case PolicyKind::kPairRotation: return "PairRotation";
   }
   return "?";
 }
@@ -83,15 +98,52 @@ struct PolicyCase {
 
 PolicyCase make_policy(PolicyKind kind, Seconds nominal_mtbf) {
   PolicyCase c;
+  switch (kind) {
+    case PolicyKind::kMultiSwitch:
+      c.jobs = {SimJob::at_oci("a", 12.0, nominal_mtbf),
+                SimJob::at_oci("b", 120.0, nominal_mtbf),
+                SimJob::at_oci("c", 1200.0, nominal_mtbf)};
+      c.scheduler = std::make_unique<MultiSwitchScheduler>(std::vector<int>{9, 0});
+      return c;
+    case PolicyKind::kPairRotation:
+      c.jobs = {SimJob::at_oci("lw0", 12.0, nominal_mtbf),
+                SimJob::at_oci("hw0", 1200.0, nominal_mtbf),
+                SimJob::at_oci("lw1", 30.0, nominal_mtbf),
+                SimJob::at_oci("hw1", 3000.0, nominal_mtbf)};
+      c.scheduler = std::make_unique<PairRotationScheduler>(
+          std::vector<std::optional<int>>{14, std::nullopt});
+      return c;
+    default:
+      break;
+  }
   const unsigned stretch = kind == PolicyKind::kShirazPlus ? 4 : 1;
   c.jobs = {SimJob::at_oci("lw", kDeltaLw, nominal_mtbf),
             SimJob::at_oci("hw", kDeltaHw, nominal_mtbf, stretch)};
   if (kind == PolicyKind::kBaseline) {
     c.scheduler = std::make_unique<AlternateAtFailure>();
   } else {
-    c.scheduler = std::make_unique<ShirazPairScheduler>(26);
+    c.scheduler =
+        std::make_unique<ShirazPairScheduler>(kind == PolicyKind::kShirazK0 ? 0 : 26);
   }
   return c;
+}
+
+/// Event streams equal element for element; reports the first divergence
+/// instead of dumping two multi-thousand-event vectors.
+void expect_same_stream(const std::vector<obs::Event>& got,
+                        const std::vector<obs::Event>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i] == want[i]) continue;
+    ADD_FAILURE() << "event " << i << " diverges: " << obs::kind_name(got[i].kind)
+                  << " rep " << got[i].rep << " t " << got[i].time << " dur "
+                  << got[i].duration << " app " << got[i].app << " value "
+                  << got[i].value << " vs " << obs::kind_name(want[i].kind)
+                  << " rep " << want[i].rep << " t " << want[i].time << " dur "
+                  << want[i].duration << " app " << want[i].app << " value "
+                  << want[i].value;
+    return;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -162,16 +214,93 @@ std::vector<CorpusParam> corpus_matrix() {
   return params;
 }
 
+std::string param_name(const std::string& id, PolicyKind kind) {
+  std::string name = id + "_" + policy_name(kind);
+  for (char& ch : name) {
+    if (ch == '-') ch = '_';
+  }
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(Corpus, FlatKernelCorpus,
                          ::testing::ValuesIn(corpus_matrix()),
                          [](const ::testing::TestParamInfo<CorpusParam>& info) {
-                           std::string name = std::get<0>(info.param) +
-                                              std::string("_") +
-                                              policy_name(std::get<1>(info.param));
-                           for (char& ch : name) {
-                             if (ch == '-') ch = '_';
-                           }
-                           return name;
+                           return param_name(std::get<0>(info.param),
+                                             std::get<1>(info.param));
+                         });
+
+// ---------------------------------------------------------------------------
+// Narration: with a sink armed the kernel emits exactly the event loop's
+// stream, through either sink route, for every plan shape, regime, and
+// worker count. A registry on the kernel side pins that the stream really
+// came from the kernel — a silent fallback to the event loop would pass the
+// equality but fail the counts.
+
+using NarrationParam = std::tuple<std::string, PolicyKind>;
+
+class FlatKernelNarration : public ::testing::TestWithParam<NarrationParam> {};
+
+TEST_P(FlatKernelNarration, EventStreamEqualsTheEventLoops) {
+  const auto& [id, kind] = GetParam();
+  const scenario::Scenario& sc = corpus_scenario(id);
+  const PolicyCase c = make_policy(kind, sc.nominal_mtbf);
+  const reliability::FailureRegimePtr regime = sc.make_regime();
+  const TraceStore traces(*regime, kSeed, sc.horizon);
+  const reliability::Weibull dist =
+      reliability::Weibull::from_mtbf(0.6, sc.nominal_mtbf);
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    for (const bool via_config : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "workers " << workers << ", sink via "
+                                        << (via_config ? "EngineConfig"
+                                                       : "CampaignOptions"));
+      // Each side records through the route under test; the kernel side
+      // also counts its dispatch.
+      obs::MetricsRegistry registry;
+      auto run = [&](bool flat_kernel, obs::EventRecorder& recorder) {
+        EngineConfig cfg;
+        cfg.t_total = sc.horizon;
+        cfg.flat_kernel = flat_kernel;
+        CampaignOptions opts;
+        opts.workers = workers;
+        opts.traces = &traces;
+        (via_config ? cfg.sink : opts.sink) = &recorder;
+        if (flat_kernel) opts.metrics = &registry;
+        const Engine engine(dist, cfg);
+        return engine.run_many(c.jobs, *c.scheduler, kReps, kSeed, opts);
+      };
+      obs::EventRecorder kernel_events;
+      obs::EventRecorder loop_events;
+      const SimResult via_kernel = run(true, kernel_events);
+      const SimResult via_loop = run(false, loop_events);
+
+      expect_identical(via_kernel, via_loop);
+      ASSERT_FALSE(loop_events.events().empty());
+      expect_same_stream(kernel_events.events(), loop_events.events());
+      EXPECT_EQ(registry.counter("shiraz_sim_kernel_replays_total").value(), kReps);
+      EXPECT_EQ(registry.counter("shiraz_sim_event_loop_runs_total").value(), 0u);
+    }
+  }
+}
+
+std::vector<NarrationParam> narration_matrix() {
+  std::vector<NarrationParam> params;
+  for (const std::string& id : corpus_ids()) {
+    for (const PolicyKind kind :
+         {PolicyKind::kBaseline, PolicyKind::kShiraz, PolicyKind::kShirazPlus,
+          PolicyKind::kShirazK0, PolicyKind::kMultiSwitch,
+          PolicyKind::kPairRotation}) {
+      params.emplace_back(id, kind);
+    }
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, FlatKernelNarration,
+                         ::testing::ValuesIn(narration_matrix()),
+                         [](const ::testing::TestParamInfo<NarrationParam>& info) {
+                           return param_name(std::get<0>(info.param),
+                                             std::get<1>(info.param));
                          });
 
 // ---------------------------------------------------------------------------
@@ -190,6 +319,31 @@ TEST(FlatKernel, FlatReplayMatchesEngineReplay) {
           flat_replay(loop.config(), c.jobs, *c.scheduler, traces.trace(r));
       expect_identical(via_kernel, via_loop);
     }
+  }
+}
+
+TEST(FlatKernel, FlatReplayNarratesIntoTheConfigSink) {
+  // flat_replay narrates into config.sink exactly as Engine::replay does on
+  // the event loop, run by run.
+  const Engine loop = make_engine(false);
+  const TraceStore traces(loop, kSeed);
+  const PolicyCase c = make_policy(PolicyKind::kShiraz, hours(5.0));
+  for (std::size_t r = 0; r < 3; ++r) {
+    obs::EventRecorder kernel_events;
+    EngineConfig cfg = loop.config();
+    cfg.sink = &kernel_events;
+    const SimResult via_kernel =
+        flat_replay(cfg, c.jobs, *c.scheduler, traces.trace(r));
+
+    obs::EventRecorder loop_events;
+    cfg.sink = &loop_events;
+    cfg.flat_kernel = false;
+    const SimResult via_loop =
+        Engine(reliability::Weibull::from_mtbf(0.6, hours(5.0)), cfg)
+            .replay(c.jobs, *c.scheduler, traces.trace(r));
+    expect_identical(via_kernel, via_loop);
+    ASSERT_FALSE(loop_events.events().empty());
+    expect_same_stream(kernel_events.events(), loop_events.events());
   }
 }
 
@@ -256,16 +410,13 @@ TEST(FlatKernel, EligibilityRules) {
   cfg.t_total = hours(200.0);
 
   auto reason = [&](const EngineConfig& config, const std::vector<SimJob>& jobs,
-                    const Scheduler& sched, const AlarmSource* alarms = nullptr,
-                    const obs::EventSink* sink = nullptr) {
-    const KernelEligibility e =
-        flat_kernel_eligibility(config, jobs, sched, alarms, sink);
+                    const Scheduler& sched, const AlarmSource* alarms = nullptr) {
+    const KernelEligibility e = flat_kernel_eligibility(config, jobs, sched, alarms);
     EXPECT_FALSE(e.eligible);
     return std::string(e.reason);
   };
 
-  EXPECT_TRUE(flat_kernel_eligibility(cfg, c.jobs, *c.scheduler, nullptr, nullptr)
-                  .eligible);
+  EXPECT_TRUE(flat_kernel_eligibility(cfg, c.jobs, *c.scheduler, nullptr).eligible);
 
   EngineConfig restart = cfg;
   restart.restart_cost = 30.0;
@@ -275,13 +426,12 @@ TEST(FlatKernel, EligibilityRules) {
   switching.switch_cost = 10.0;
   EXPECT_EQ(reason(switching, c.jobs, *c.scheduler), "switch cost is not free");
 
+  // An armed sink keeps the run on the kernel, which narrates it.
   obs::EventRecorder recorder;
   EngineConfig traced = cfg;
   traced.sink = &recorder;
-  EXPECT_EQ(reason(traced, c.jobs, *c.scheduler),
-            "an event sink observes the run");
-  EXPECT_EQ(reason(cfg, c.jobs, *c.scheduler, nullptr, &recorder),
-            "an event sink observes the run");
+  EXPECT_TRUE(flat_kernel_eligibility(traced, c.jobs, *c.scheduler, nullptr)
+                  .eligible);
 
   const predict::NullPredictor no_alarms;
   EXPECT_EQ(reason(cfg, c.jobs, *c.scheduler, &no_alarms),
