@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/error.h"
 
@@ -51,15 +52,49 @@ double RunningStats::min() const { return n_ == 0 ? 0.0 : min_; }
 double RunningStats::max() const { return n_ == 0 ? 0.0 : max_; }
 
 double percentile(std::vector<double> xs, double q) {
+  double out = 0.0;
+  select_percentiles(xs, {&q, 1}, {&out, 1});
+  return out;
+}
+
+void select_percentiles(std::span<double> xs, std::span<const double> qs,
+                        std::span<double> out) {
   SHIRAZ_REQUIRE(!xs.empty(), "percentile of empty sample");
-  SHIRAZ_REQUIRE(q >= 0.0 && q <= 1.0, "percentile q must be in [0,1]");
-  std::sort(xs.begin(), xs.end());
-  if (xs.size() == 1) return xs.front();
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  SHIRAZ_REQUIRE(qs.size() == out.size(), "one output slot per percentile");
+  for (const double q : qs) {
+    SHIRAZ_REQUIRE(q >= 0.0 && q <= 1.0, "percentile q must be in [0,1]");
+  }
+  if (xs.size() == 1) {
+    std::fill(out.begin(), out.end(), xs.front());
+    return;
+  }
+  std::vector<std::size_t> order(qs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return qs[a] > qs[b]; });
+
+  const std::size_t n = xs.size();
+  // [xs.begin(), end) holds the smallest values, unordered. Selecting a q's
+  // low order statistic leaves every lower rank before it, so the next
+  // (smaller) q partitions only that prefix. `at_end` is the order statistic
+  // sitting at `end` once the prefix has shrunk: the previous q's high one.
+  auto end = xs.end();
+  double at_end = 0.0;
+  for (const std::size_t i : order) {
+    const double pos = qs[i] * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = pos - static_cast<double>(lo);
+    const auto lo_it = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(xs.begin(), lo_it, end);
+    const double lo_value = *lo_it;
+    const double hi_value = hi == lo           ? lo_value
+                            : lo_it + 1 < end ? *std::min_element(lo_it + 1, end)
+                                              : at_end;
+    out[i] = lo_value * (1.0 - frac) + hi_value * frac;
+    end = lo_it + 1;
+    at_end = hi_value;
+  }
 }
 
 Summary summarize(const std::vector<double>& xs) {

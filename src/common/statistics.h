@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace shiraz {
@@ -42,8 +43,20 @@ struct Summary {
   double max = 0.0;
 };
 
-/// Linear-interpolated percentile of a sample, q in [0, 1]. Sorts a copy.
+/// Linear-interpolated percentile of a sample, q in [0, 1]: the value at
+/// rank q * (n - 1) of the sorted sample, interpolated between its two
+/// neighbouring order statistics. Selects them in a copy (select_percentiles).
 double percentile(std::vector<double> xs, double q);
+
+/// percentile() at every q in `qs` (each in [0, 1]), written to the matching
+/// slot of `out`, by selection instead of a sort: partially reorders `xs`
+/// with std::nth_element on shrinking prefixes, largest q first, so reading
+/// several quantiles costs about one linear pass each. Each result is
+/// bit-identical to interpolating the fully sorted sample. Throws
+/// InvalidArgument on an empty sample, a q outside [0, 1], or
+/// qs.size() != out.size().
+void select_percentiles(std::span<double> xs, std::span<const double> qs,
+                        std::span<double> out);
 
 /// Computes a full Summary of `xs`. Throws InvalidArgument when empty.
 Summary summarize(const std::vector<double>& xs);

@@ -1,6 +1,8 @@
 #include "sched/distribution.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "common/error.h"
 #include "common/statistics.h"
@@ -15,50 +17,59 @@ DistSummary summarize_samples(std::vector<double> samples) {
   for (const double x : samples) sum += x;
   out.mean = sum / static_cast<double>(samples.size());
   out.max = *std::max_element(samples.begin(), samples.end());
-  std::sort(samples.begin(), samples.end());
-  out.p50 = percentile(samples, 0.50);
-  out.p95 = percentile(samples, 0.95);
-  out.p99 = percentile(samples, 0.99);
+  constexpr double kQs[] = {0.50, 0.95, 0.99};
+  double ps[std::size(kQs)];
+  select_percentiles(samples, kQs, ps);
+  out.p50 = ps[0];
+  out.p95 = ps[1];
+  out.p99 = ps[2];
   return out;
+}
+
+DistributionFold::DistributionFold(const std::vector<BatchJobSpec>& jobs,
+                                   std::size_t expected_reps)
+    : jobs_(jobs) {
+  turnaround_.reserve(jobs.size() * expected_reps);
+  slowdown_.reserve(jobs.size() * expected_reps);
+  makespan_.reserve(expected_reps);
+}
+
+void DistributionFold::add(const CampaignStats& rep) {
+  SHIRAZ_REQUIRE(rep.jobs.size() == jobs_.size(),
+                 "mismatched job lists across reps");
+  makespan_.push_back(rep.makespan);
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    const BatchJobRecord& rec = rep.jobs[j];
+    if (!rec.completed()) continue;
+    turnaround_.push_back(rec.turnaround());
+    slowdown_.push_back(rec.turnaround() / jobs_[j].work);
+  }
+  mean_.add(rep);
+}
+
+CampaignDistribution DistributionFold::finish() && {
+  SHIRAZ_REQUIRE(!makespan_.empty(), "no repetitions to summarize");
+  CampaignDistribution dist;
+  dist.reps = makespan_.size();
+  dist.job_count = jobs_.size();
+  const std::size_t total = jobs_.size() * dist.reps;
+  dist.completion_rate =
+      total == 0 ? 0.0
+                 : static_cast<double>(turnaround_.size()) /
+                       static_cast<double>(total);
+  dist.turnaround = summarize_samples(std::move(turnaround_));
+  dist.slowdown = summarize_samples(std::move(slowdown_));
+  dist.makespan = summarize_samples(std::move(makespan_));
+  dist.mean = std::move(mean_).finish();
+  return dist;
 }
 
 CampaignDistribution build_distribution(
     const std::vector<BatchJobSpec>& jobs,
     const std::vector<CampaignStats>& per_rep) {
-  SHIRAZ_REQUIRE(!per_rep.empty(), "no repetitions to summarize");
-  CampaignDistribution dist;
-  dist.reps = per_rep.size();
-  dist.job_count = jobs.size();
-
-  std::vector<double> turnaround;
-  std::vector<double> slowdown;
-  std::vector<double> makespan;
-  turnaround.reserve(jobs.size() * per_rep.size());
-  slowdown.reserve(jobs.size() * per_rep.size());
-  makespan.reserve(per_rep.size());
-
-  for (const CampaignStats& rep : per_rep) {
-    SHIRAZ_REQUIRE(rep.jobs.size() == jobs.size(),
-                   "mismatched job lists across reps");
-    makespan.push_back(rep.makespan);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      const BatchJobRecord& rec = rep.jobs[j];
-      if (!rec.completed()) continue;
-      turnaround.push_back(rec.turnaround());
-      slowdown.push_back(rec.turnaround() / jobs[j].work);
-    }
-  }
-
-  const std::size_t total = jobs.size() * per_rep.size();
-  dist.completion_rate =
-      total == 0 ? 0.0
-                 : static_cast<double>(turnaround.size()) /
-                       static_cast<double>(total);
-  dist.turnaround = summarize_samples(std::move(turnaround));
-  dist.slowdown = summarize_samples(std::move(slowdown));
-  dist.makespan = summarize_samples(std::move(makespan));
-  dist.mean = mean_of_reps(per_rep);
-  return dist;
+  DistributionFold fold(jobs, per_rep.size());
+  for (const CampaignStats& rep : per_rep) fold.add(rep);
+  return std::move(fold).finish();
 }
 
 }  // namespace shiraz::sched

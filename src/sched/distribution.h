@@ -24,7 +24,8 @@ struct DistSummary {
   double max = 0.0;
 };
 
-/// Summarizes `samples` (consumed; sorted internally).
+/// Summarizes `samples` (consumed; its order statistics are selected in
+/// place, see select_percentiles).
 DistSummary summarize_samples(std::vector<double> samples);
 
 struct CampaignDistribution {
@@ -43,9 +44,31 @@ struct CampaignDistribution {
   CampaignStats mean;
 };
 
-/// Builds the distribution from per-repetition campaign stats. Samples are
-/// collected in (rep, job) order, so the result is identical for any worker
-/// count as long as `per_rep` is merged in repetition order.
+/// The distribution as a fold over repetitions: add() appends one
+/// repetition's turnaround/slowdown samples in job order and its makespan
+/// sample, and adds it to the rep-order mean (MeanFold); finish() summarizes.
+/// Samples are therefore collected in (rep, job) order, so the result is
+/// identical for any worker count as long as repetitions are added in
+/// repetition order.
+class DistributionFold {
+ public:
+  /// `jobs` must outlive the fold; `expected_reps` only sizes the buffers.
+  DistributionFold(const std::vector<BatchJobSpec>& jobs,
+                   std::size_t expected_reps);
+  /// Folds the next repetition; throws when its job list does not match.
+  void add(const CampaignStats& rep);
+  /// The distribution of every repetition added; throws when none was.
+  CampaignDistribution finish() &&;
+
+ private:
+  const std::vector<BatchJobSpec>& jobs_;
+  std::vector<double> turnaround_;
+  std::vector<double> slowdown_;
+  std::vector<double> makespan_;
+  MeanFold mean_;
+};
+
+/// DistributionFold over `per_rep` in vector order.
 CampaignDistribution build_distribution(const std::vector<BatchJobSpec>& jobs,
                                         const std::vector<CampaignStats>& per_rep);
 

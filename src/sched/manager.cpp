@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -45,7 +46,51 @@ struct ManagerCounters {
         "pair solves routed through the analytical cache");
   }
 };
+
+/// Runs repetitions 0 .. reps-1 (rep r on Rng(seed).fork(r)) and hands each
+/// to `fold` on the calling thread in repetition order, as soon as it and
+/// every earlier repetition have landed; a folded repetition is freed at
+/// once. With workers > 1 at most workers + 1 repetitions are in flight, so
+/// about workers + 2 campaigns' stats are alive instead of all `reps`.
+/// Exceptions keep parallel_for_indexed's contract: every submitted
+/// repetition finishes before this returns, and the lowest-index failure —
+/// the first one met, since repetitions are awaited in order — is rethrown.
+template <typename Fold>
+void fold_reps(const WorkloadManager& mgr, const std::vector<BatchJobSpec>& jobs,
+               Policy policy, std::size_t reps, std::uint64_t seed,
+               const CampaignRunOptions& options, Fold&& fold) {
+  SHIRAZ_REQUIRE(reps >= 1, "need at least one repetition");
+  const Rng master(seed);
+  auto run_one = [&](std::size_t r) {
+    Rng rng = master.fork(r);
+    return mgr.run(jobs, policy, rng);
+  };
+  if (options.workers <= 1 || reps == 1) {
+    for (std::size_t r = 0; r < reps; ++r) fold(run_one(r));
+    return;
+  }
+  common::PoolHandle pool(options.pool, std::min(options.workers, reps));
+  // get() releases a future's result, so only repetitions that are in flight
+  // or landed-but-unfolded hold a CampaignStats.
+  std::vector<std::future<CampaignStats>> reps_out(reps);
+  std::size_t submitted = 0;
+  try {
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (; submitted < reps && submitted <= r + options.workers; ++submitted) {
+        reps_out[submitted] = pool.get().submit(
+            [&run_one, i = submitted] { return run_one(i); });
+      }
+      fold(reps_out[r].get());
+    }
+  } catch (...) {
+    for (std::future<CampaignStats>& f : reps_out) {
+      if (f.valid()) f.wait();
+    }
+    throw;
+  }
 }
+
+}  // namespace
 
 /// Memo for sim-backed switch-point solves: one entry per distinct
 /// (delta_LW, delta_HW) signature (the other solve inputs are fixed by the
@@ -183,6 +228,13 @@ CampaignStats WorkloadManager::run(const std::vector<BatchJobSpec>& jobs,
                : active[0];
   };
 
+  // This run's switch point per (delta_LW, delta_HW) signature, in front of
+  // whichever route solves it: a catalog-drawn stream changes pair thousands
+  // of times but meets a few dozen signatures, so the shared route (and its
+  // lock) sees each signature once per run. Keys compare by exact double
+  // equality, as SolverCacheKey does.
+  std::map<std::pair<Seconds, Seconds>, std::optional<int>> k_by_signature;
+
   auto resolve_pair = [&]() {
     if (policy != Policy::kShirazPairing || active.size() < 2) {
       pair_k = std::nullopt;
@@ -193,22 +245,23 @@ CampaignStats WorkloadManager::run(const std::vector<BatchJobSpec>& jobs,
       if (counters.solve_fixed != nullptr) counters.solve_fixed->add(1);
       return;
     }
-    const std::size_t lw = light_of_pair();
-    const std::size_t hw = heavy_of_pair();
-    if (config_.sim_solve_reps > 0) {
-      // Simulation-backed solve on the flat replay kernel, memoized per
-      // signature (see sim_solve_k).
-      pair_k = sim_solve_k(jobs[lw].checkpoint_cost, jobs[hw].checkpoint_cost);
-      if (counters.solve_sim != nullptr) counters.solve_sim->add(1);
-      return;
+    const Seconds delta_lw = jobs[light_of_pair()].checkpoint_cost;
+    const Seconds delta_hw = jobs[heavy_of_pair()].checkpoint_cost;
+    const bool by_sim = config_.sim_solve_reps > 0;
+    const auto [it, fresh] =
+        k_by_signature.try_emplace(std::pair(delta_lw, delta_hw));
+    if (fresh) {
+      // Simulation-backed solves run on the flat replay kernel, memoized per
+      // signature across runs (see sim_solve_k); analytical ones go through
+      // the shared cache, where every distinct signature across all runs,
+      // repetitions and co-owners of the cache is solved exactly once.
+      it->second = by_sim ? sim_solve_k(delta_lw, delta_hw)
+                          : cache_->solve(cache_key(delta_lw, delta_hw)).k;
     }
-    // The shared memo table: every distinct signature across this run, all
-    // repetitions, and any co-owner of the cache is solved exactly once.
-    pair_k = cache_
-                 ->solve(cache_key(jobs[lw].checkpoint_cost,
-                                   jobs[hw].checkpoint_cost))
-                 .k;
-    if (counters.solve_analytical != nullptr) counters.solve_analytical->add(1);
+    pair_k = it->second;
+    obs::Counter* route =
+        by_sim ? counters.solve_sim : counters.solve_analytical;
+    if (route != nullptr) route->add(1);
   };
 
   auto take = [&](std::size_t pos) {
@@ -361,8 +414,8 @@ CampaignStats WorkloadManager::run(const std::vector<BatchJobSpec>& jobs,
       stats.makespan = std::max(stats.makespan, now);
       active.erase(std::find(active.begin(), active.end(), job));
       gap_ckpts = 0;
-      activate();
-      resolve_pair();
+      // A refill re-solves inside activate(); otherwise the pair shrank.
+      if (!activate()) resolve_pair();
     } else {
       rec.io += delta;
       rec.checkpoints += 1.0;
@@ -387,36 +440,23 @@ CampaignStats WorkloadManager::run(const std::vector<BatchJobSpec>& jobs,
   return stats;
 }
 
-std::vector<CampaignStats> WorkloadManager::run_reps(
-    const std::vector<BatchJobSpec>& jobs, Policy policy, std::size_t reps,
-    std::uint64_t seed, const CampaignRunOptions& options) const {
-  SHIRAZ_REQUIRE(reps >= 1, "need at least one repetition");
-  std::vector<CampaignStats> per_rep(reps);
-  const Rng master(seed);
-  auto run_one = [&](std::size_t r) {
-    Rng rng = master.fork(r);
-    per_rep[r] = run(jobs, policy, rng);
-  };
-  if (options.workers <= 1 || reps == 1) {
-    for (std::size_t r = 0; r < reps; ++r) run_one(r);
-  } else {
-    common::PoolHandle pool(options.pool, std::min(options.workers, reps));
-    common::parallel_for_indexed(pool.get(), reps, run_one);
-  }
-  return per_rep;
-}
-
 CampaignStats WorkloadManager::run_many(const std::vector<BatchJobSpec>& jobs,
                                         Policy policy, std::size_t reps,
                                         std::uint64_t seed,
                                         const CampaignRunOptions& options) const {
-  return mean_of_reps(run_reps(jobs, policy, reps, seed, options));
+  MeanFold mean;
+  fold_reps(*this, jobs, policy, reps, seed, options,
+            [&](CampaignStats rep) { mean.add(rep); });
+  return std::move(mean).finish();
 }
 
 CampaignDistribution WorkloadManager::run_distribution(
     const std::vector<BatchJobSpec>& jobs, Policy policy, std::size_t reps,
     std::uint64_t seed, const CampaignRunOptions& options) const {
-  return build_distribution(jobs, run_reps(jobs, policy, reps, seed, options));
+  DistributionFold dist(jobs, reps);
+  fold_reps(*this, jobs, policy, reps, seed, options,
+            [&](CampaignStats rep) { dist.add(rep); });
+  return std::move(dist).finish();
 }
 
 }  // namespace shiraz::sched

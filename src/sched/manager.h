@@ -8,11 +8,13 @@
 //  * kShirazPairing — the same two jobs are run as a Shiraz pair: after each
 //    failure the lighter-checkpoint job runs for the model's fair k
 //    checkpoints, then the heavier one runs until the next failure. The
-//    switch point is re-solved whenever the pair changes (a job completes or
-//    a new one arrives into an idle slot) and memoized in a shared
-//    core::SolverCache keyed by the full model signature, so a 10k-job
-//    stream drawn from a small catalog pays for each distinct
-//    (delta_LW, delta_HW) solve once — across repetitions, policies, and
+//    switch point is looked up again whenever the pair changes (a job
+//    completes or a new one arrives into an idle slot). Each run() keeps its
+//    own memo of (delta_LW, delta_HW) -> k in front of a shared
+//    core::SolverCache keyed by the full model signature: the run's
+//    thousands of pair changes touch the shared cache (and its lock) once
+//    per distinct signature, and a 10k-job stream drawn from a small catalog
+//    pays for each distinct solve once — across repetitions, policies, and
 //    any other consumer (e.g. the `shirazctl serve` daemon) sharing the
 //    cache.
 //
@@ -104,8 +106,9 @@ struct ManagerConfig {
   /// paper's fair points sit well inside 64 at these signatures).
   int sim_solve_max_k = 64;
   /// When non-null, campaigns count into this registry (obs/metrics.h):
-  /// jobs submitted/completed per run and the solve route each pair-change
-  /// took (fixed / sim-backed / analytical cache). Pure observation — no
+  /// jobs submitted/completed per run and the solve route each pair change
+  /// took (fixed / sim-backed / analytical cache; counted per pair change,
+  /// whether or not the run's memo answered it). Pure observation — no
   /// campaign decision reads a metric — so arming it never changes a
   /// reported number; counters are commutative u64 sums, so totals are
   /// CampaignRunOptions::workers-invariant.
@@ -115,6 +118,8 @@ struct ManagerConfig {
 /// Repetition-sharding knobs for run_many / run_distribution. Results are
 /// bit-identical for every worker count: repetition r always draws from
 /// Rng(seed).fork(r) and merges in repetition order (the PR 2 contract).
+/// The calling thread folds each repetition as soon as it and every earlier
+/// one have landed, so at most about workers + 2 repetitions are alive.
 struct CampaignRunOptions {
   /// Worker threads (<= 1 runs the serial loop inline).
   std::size_t workers = 1;
@@ -151,14 +156,15 @@ class WorkloadManager {
   CampaignStats run(const std::vector<BatchJobSpec>& jobs, Policy policy,
                     Rng& rng) const;
 
-  /// Averages `reps` campaigns over independent failure streams.
+  /// Averages `reps` campaigns over independent failure streams (MeanFold).
   CampaignStats run_many(const std::vector<BatchJobSpec>& jobs, Policy policy,
                          std::size_t reps, std::uint64_t seed,
                          const CampaignRunOptions& options = {}) const;
 
   /// Like run_many, but additionally keeps the per-(job, rep) turnaround /
   /// slowdown and per-rep makespan samples and reports exact
-  /// p50/p95/p99/max over them (result.mean is the run_many view).
+  /// p50/p95/p99/max over them (DistributionFold; result.mean is the
+  /// run_many view).
   CampaignDistribution run_distribution(const std::vector<BatchJobSpec>& jobs,
                                         Policy policy, std::size_t reps,
                                         std::uint64_t seed,
@@ -168,11 +174,6 @@ class WorkloadManager {
 
  private:
   struct SimSolveMemo;  // mutex + signature map, shared so managers stay copyable
-
-  std::vector<CampaignStats> run_reps(const std::vector<BatchJobSpec>& jobs,
-                                      Policy policy, std::size_t reps,
-                                      std::uint64_t seed,
-                                      const CampaignRunOptions& options) const;
 
   /// Memoized sim-backed switch-point solve (sim_solve_reps > 0); nullopt
   /// means no beneficial switch point, i.e. alternate at every failure.

@@ -1,6 +1,7 @@
 #include "sched/stats.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 
@@ -65,47 +66,50 @@ const BatchJobRecord& CampaignStats::job(const std::string& name) const {
   throw InvalidArgument("no job named " + name + " in campaign stats");
 }
 
-CampaignStats mean_of_reps(const std::vector<CampaignStats>& per_rep) {
-  SHIRAZ_REQUIRE(!per_rep.empty(), "no repetitions to average");
-  const std::size_t nj = per_rep.front().jobs.size();
-  const double n = static_cast<double>(per_rep.size());
-
-  CampaignStats out;
-  out.horizon = per_rep.front().horizon;
-  out.reps = per_rep.size();
-  out.jobs.resize(nj);
-  std::vector<Seconds> start_sum(nj, 0.0);
-  std::vector<Seconds> completion_sum(nj, 0.0);
-
-  for (const CampaignStats& rep : per_rep) {
-    SHIRAZ_REQUIRE(rep.jobs.size() == nj, "mismatched job lists across reps");
+void MeanFold::add(const CampaignStats& rep) {
+  const std::size_t nj = rep.jobs.size();
+  if (reps_ == 0) {
+    sum_.horizon = rep.horizon;
+    sum_.jobs.resize(nj);
     for (std::size_t j = 0; j < nj; ++j) {
-      BatchJobRecord& acc = out.jobs[j];
-      const BatchJobRecord& one = rep.jobs[j];
-      acc.useful += one.useful;
-      acc.io += one.io;
-      acc.lost += one.lost;
-      acc.checkpoints += one.checkpoints;
-      acc.failures_hit += one.failures_hit;
-      if (one.started()) {
-        start_sum[j] += one.start_time;
-        ++acc.started_reps;
-      }
-      if (one.completed()) {
-        completion_sum[j] += one.completion_time;
-        ++acc.completed_reps;
-      }
+      sum_.jobs[j].name = rep.jobs[j].name;
+      sum_.jobs[j].submit_time = rep.jobs[j].submit_time;
     }
-    out.failures += rep.failures;
-    out.idle += rep.idle;
-    out.makespan += rep.makespan;
-    out.elapsed += rep.elapsed;
+    start_sum_.assign(nj, 0.0);
+    completion_sum_.assign(nj, 0.0);
   }
-
+  SHIRAZ_REQUIRE(nj == sum_.jobs.size(), "mismatched job lists across reps");
   for (std::size_t j = 0; j < nj; ++j) {
+    BatchJobRecord& acc = sum_.jobs[j];
+    const BatchJobRecord& one = rep.jobs[j];
+    acc.useful += one.useful;
+    acc.io += one.io;
+    acc.lost += one.lost;
+    acc.checkpoints += one.checkpoints;
+    acc.failures_hit += one.failures_hit;
+    if (one.started()) {
+      start_sum_[j] += one.start_time;
+      ++acc.started_reps;
+    }
+    if (one.completed()) {
+      completion_sum_[j] += one.completion_time;
+      ++acc.completed_reps;
+    }
+  }
+  sum_.failures += rep.failures;
+  sum_.idle += rep.idle;
+  sum_.makespan += rep.makespan;
+  sum_.elapsed += rep.elapsed;
+  ++reps_;
+}
+
+CampaignStats MeanFold::finish() && {
+  SHIRAZ_REQUIRE(reps_ > 0, "no repetitions to average");
+  const double n = static_cast<double>(reps_);
+  CampaignStats out = std::move(sum_);
+  out.reps = reps_;
+  for (std::size_t j = 0; j < out.jobs.size(); ++j) {
     BatchJobRecord& acc = out.jobs[j];
-    acc.name = per_rep.front().jobs[j].name;
-    acc.submit_time = per_rep.front().jobs[j].submit_time;
     acc.useful /= n;
     acc.io /= n;
     acc.lost /= n;
@@ -113,17 +117,23 @@ CampaignStats mean_of_reps(const std::vector<CampaignStats>& per_rep) {
     acc.failures_hit /= n;
     acc.start_time = acc.started_reps == 0
                          ? -1.0
-                         : start_sum[j] / static_cast<double>(acc.started_reps);
+                         : start_sum_[j] / static_cast<double>(acc.started_reps);
     acc.completion_time =
         acc.completed_reps == 0
             ? -1.0
-            : completion_sum[j] / static_cast<double>(acc.completed_reps);
+            : completion_sum_[j] / static_cast<double>(acc.completed_reps);
   }
   out.failures /= n;
   out.idle /= n;
   out.makespan /= n;
   out.elapsed /= n;
   return out;
+}
+
+CampaignStats mean_of_reps(const std::vector<CampaignStats>& per_rep) {
+  MeanFold fold;
+  for (const CampaignStats& rep : per_rep) fold.add(rep);
+  return std::move(fold).finish();
 }
 
 }  // namespace shiraz::sched

@@ -39,9 +39,27 @@ struct CampaignStats {
   const BatchJobRecord& job(const std::string& name) const;
 };
 
-/// Rep-order mean of per-repetition campaign stats: time fields and counts
-/// average over all reps; start/completion times average over the reps where
-/// the job started/completed (see BatchJobRecord). Throws on empty input or
+/// The rep-order mean as a fold: add() sums one repetition after another in
+/// the order given, finish() divides. Time fields and counts average over all
+/// reps; start/completion times average over the reps where the job
+/// started/completed (see BatchJobRecord). A caller that folds repetitions
+/// as they land keeps one accumulator alive instead of every repetition.
+class MeanFold {
+ public:
+  /// Folds the next repetition. Throws when its job list differs in size
+  /// from the first repetition's.
+  void add(const CampaignStats& rep);
+  /// The mean of every repetition added; throws when none was.
+  CampaignStats finish() &&;
+
+ private:
+  CampaignStats sum_;
+  std::vector<Seconds> start_sum_;
+  std::vector<Seconds> completion_sum_;
+  std::size_t reps_ = 0;
+};
+
+/// MeanFold over `per_rep` in vector order. Throws on empty input or
 /// mismatched job lists.
 CampaignStats mean_of_reps(const std::vector<CampaignStats>& per_rep);
 

@@ -1,6 +1,10 @@
 #include "common/statistics.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -110,6 +114,97 @@ TEST(Percentile, RejectsEmptyAndBadQ) {
   EXPECT_THROW(percentile({}, 0.5), InvalidArgument);
   EXPECT_THROW(percentile({1.0}, 1.5), InvalidArgument);
   EXPECT_THROW(percentile({1.0}, -0.1), InvalidArgument);
+}
+
+// --- selection percentiles vs the sort-based oracle -------------------------
+// select_percentiles (and percentile(), which runs on it) must return exactly
+// what interpolating the fully sorted sample gives: EXPECT_EQ on doubles.
+
+/// The sort-based interpolation the selection replaced.
+double sorted_percentile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  if (xs.size() == 1) return xs.front();
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+/// Checks every q of `qs` (in the given order) against the oracle, both
+/// through one select_percentiles call and through percentile().
+void expect_matches_oracle(const std::vector<double>& xs,
+                           const std::vector<double>& qs,
+                           const std::string& label) {
+  SCOPED_TRACE(label + ", n = " + std::to_string(xs.size()));
+  std::vector<double> work = xs;
+  std::vector<double> got(qs.size());
+  select_percentiles(work, qs, got);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    const double want = sorted_percentile(xs, qs[i]);
+    EXPECT_EQ(got[i], want) << "q = " << qs[i];
+    EXPECT_EQ(percentile(xs, qs[i]), want) << "q = " << qs[i];
+  }
+  // Selection only reorders: the sample is still the same multiset.
+  std::vector<double> a = xs;
+  std::sort(a.begin(), a.end());
+  std::sort(work.begin(), work.end());
+  EXPECT_EQ(a, work);
+}
+
+std::vector<double> uniform_sample(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> xs(n);
+  for (double& x : xs) x = rng.uniform(0.0, 1e6);
+  return xs;
+}
+
+const std::vector<double> kSummaryQs{0.50, 0.95, 0.99};
+const std::vector<double> kMixedQs{0.5, 0.99, 0.0, 0.95, 1.0, 0.25, 0.75};
+
+TEST(SelectPercentiles, MatchesSortedOracleAcrossSizes) {
+  for (const std::size_t n : {1u, 2u, 3u, 100u, 101u, 80'000u}) {
+    const std::vector<double> xs = uniform_sample(n, 1000 + n);
+    expect_matches_oracle(xs, kSummaryQs, "summary qs");
+    expect_matches_oracle(xs, kMixedQs, "mixed-order qs");
+  }
+}
+
+TEST(SelectPercentiles, HeavyDuplicatesMatchOracle) {
+  for (const std::size_t n : {2u, 3u, 100u, 101u, 80'000u}) {
+    Rng rng(7 + n);
+    std::vector<double> xs(n);
+    for (double& x : xs) x = static_cast<double>(rng.uniform_int(1, 3));
+    expect_matches_oracle(xs, kSummaryQs, "three distinct values");
+    expect_matches_oracle(xs, kMixedQs, "three distinct values");
+    const std::vector<double> constant(n, 42.5);
+    expect_matches_oracle(constant, kMixedQs, "constant sample");
+  }
+}
+
+TEST(SelectPercentiles, CollidingRanksAtSmallSizes) {
+  // At n = 2 every q below 1 shares rank 0; at n = 3 the p50/p95/p99 ranks
+  // all land on 1; at n = 11 and n = 21, q = .95 and .99 share a rank.
+  // Repeated qs collide outright.
+  for (const std::size_t n : {2u, 3u, 4u, 11u, 21u}) {
+    const std::vector<double> xs = uniform_sample(n, 50 + n);
+    expect_matches_oracle(xs, kSummaryQs, "summary qs");
+    expect_matches_oracle(xs, {0.99, 0.95, 0.5}, "descending qs");
+    expect_matches_oracle(xs, {0.95, 0.95, 0.99, 0.5, 0.5}, "repeated qs");
+    expect_matches_oracle(xs, {1.0, 1.0, 0.999, 0.0, 0.0}, "extreme qs");
+  }
+}
+
+TEST(SelectPercentiles, RejectsBadInput) {
+  std::vector<double> empty;
+  std::vector<double> xs{1.0, 2.0};
+  const std::vector<double> q_ok{0.5};
+  const std::vector<double> q_bad{1.5};
+  std::vector<double> one(1);
+  std::vector<double> two(2);
+  EXPECT_THROW(select_percentiles(empty, q_ok, one), InvalidArgument);
+  EXPECT_THROW(select_percentiles(xs, q_bad, one), InvalidArgument);
+  EXPECT_THROW(select_percentiles(xs, q_ok, two), InvalidArgument);
 }
 
 TEST(Summarize, FieldsAreConsistent) {

@@ -131,6 +131,65 @@ TEST(WorkloadManager, MetricsCountJobsAndSolveRouteWithoutChangingResults) {
   EXPECT_EQ(registry.counter("shiraz_sched_solve_sim_total").value(), 0u);
 }
 
+TEST(WorkloadManager, CompletionThatRefillsTheSlotResolvesThePairOnce) {
+  // Three jobs at t = 0 on a calm machine: the pair forms at t = 0, and the
+  // first completion refills the slot from the queue — two pair changes.
+  // The refill resolves inside slot activation; the completion must not
+  // resolve the same pair a second time.
+  obs::MetricsRegistry registry;
+  ManagerConfig cfg = exa_config();
+  cfg.metrics = &registry;
+  const WorkloadManager mgr(calm(), cfg);
+  const std::vector<BatchJobSpec> jobs{{"light", hours(20.0), 18.0, 0.0},
+                                       {"heavy", hours(40.0), 1800.0, 0.0},
+                                       {"mid", hours(20.0), 300.0, 0.0}};
+  Rng rng(3);
+  const CampaignStats stats = mgr.run(jobs, Policy::kShirazPairing, rng);
+  EXPECT_EQ(stats.completed_count(), 3u);
+  EXPECT_EQ(registry.counter("shiraz_sched_solve_analytical_total").value(), 2u);
+}
+
+TEST(WorkloadManager, RunMemoHitsSharedCacheOncePerSignature) {
+  // A multi-class stream, all submitted at t = 0 on a calm machine under
+  // FCFS: the pair forms once and every completion while the queue is
+  // non-empty refills the slot, so there are exactly n - 1 pair changes. The
+  // route counter counts each of them; the shared cache sees each distinct
+  // (delta_LW, delta_HW) signature once per run — one lookup per signature,
+  // all misses on a fresh cache.
+  const Seconds costs[] = {18.0, 300.0, 1800.0};
+  std::vector<BatchJobSpec> jobs;
+  for (int i = 0; i < 30; ++i) {
+    jobs.push_back({"job" + std::to_string(i), hours(10.0 + (i % 4)),
+                    costs[i % 3], 0.0});
+  }
+  obs::MetricsRegistry registry;
+  ManagerConfig cfg = exa_config();
+  cfg.metrics = &registry;
+  const WorkloadManager mgr(calm(), cfg);
+  const obs::Counter& route =
+      registry.counter("shiraz_sched_solve_analytical_total");
+
+  Rng r1(1);
+  EXPECT_EQ(mgr.run(jobs, Policy::kShirazPairing, r1).completed_count(),
+            jobs.size());
+  const core::SolverCache::Stats first = mgr.solver_cache()->stats();
+  const std::size_t signatures = mgr.solver_cache()->size();
+  EXPECT_EQ(route.value(), jobs.size() - 1);
+  EXPECT_GE(signatures, 2u);
+  EXPECT_LT(signatures, jobs.size() - 1);
+  EXPECT_EQ(first.misses, signatures);
+  EXPECT_EQ(first.hits, 0u);
+
+  // A second run of the same calm stream meets the same signatures: one
+  // hit each, no new solves.
+  Rng r2(2);
+  mgr.run(jobs, Policy::kShirazPairing, r2);
+  const core::SolverCache::Stats second = mgr.solver_cache()->stats();
+  EXPECT_EQ(route.value(), 2 * (jobs.size() - 1));
+  EXPECT_EQ(second.misses, signatures);
+  EXPECT_EQ(second.hits, signatures);
+}
+
 TEST(WorkloadManager, FailuresCauseRollbacksAndLostWork) {
   const WorkloadManager mgr(exa_failures(), exa_config());
   Rng rng(4);
