@@ -7,6 +7,8 @@
 // which keeps that property trivial.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -84,24 +86,55 @@ class PoolHandle {
 };
 
 /// Runs fn(0) .. fn(n-1) on the pool and blocks until all have finished.
-/// Rethrows the lowest-index task exception after every task completed (so
-/// captured references stay valid for still-running tasks). n == 0 is a no-op.
+/// Submits one task per worker (min(n, worker_count()) in all), each pulling
+/// indices from a shared counter until n, so a campaign pays one queue
+/// round-trip per worker rather than per index. Every index runs even when
+/// some throw; the lowest index's exception is rethrown after every task has
+/// finished (so captured references stay valid for still-running tasks).
+/// Should a submit itself throw, the tasks already queued finish before it
+/// propagates. n == 0 is a no-op.
 template <typename Fn>
 void parallel_for_indexed(ThreadPool& pool, std::size_t n, Fn&& fn) {
+  // A task pulls its indices in increasing order, so the first exception it
+  // catches is its lowest; the lowest over all tasks is the lowest overall.
+  struct Failure {
+    std::size_t index = 0;
+    std::exception_ptr error;
+  };
+  const std::size_t tasks = std::min(n, pool.worker_count());
+  std::atomic<std::size_t> next{0};
+  std::vector<Failure> failures(tasks);
+  auto drain = [&fn, &next, n](Failure& failure) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (!failure.error) failure = {i, std::current_exception()};
+      }
+    }
+  };
   std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([&fn, i] { fn(i); }));
+  futures.reserve(tasks);
+  auto wait_all = [&futures] {
+    for (std::future<void>& f : futures) f.wait();
+  };
+  try {
+    for (Failure& failure : failures) {
+      futures.push_back(pool.submit([&drain, &failure] { drain(failure); }));
+    }
+  } catch (...) {
+    wait_all();
+    throw;
   }
-  std::exception_ptr first;
-  for (std::future<void>& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
+  wait_all();
+  const Failure* first = nullptr;
+  for (const Failure& failure : failures) {
+    if (failure.error && (first == nullptr || failure.index < first->index)) {
+      first = &failure;
     }
   }
-  if (first) std::rethrow_exception(first);
+  if (first != nullptr) std::rethrow_exception(first->error);
 }
 
 }  // namespace shiraz::common

@@ -4,12 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <typeinfo>
 #include <vector>
 
 #include "common/error.h"
 #include "obs/event.h"
-#include "sim/optimizer.h"
 #include "sim/trace.h"
 
 namespace shiraz::sim {
@@ -300,8 +300,12 @@ bool try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs
 void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
                          Seconds delta_hw, int k_lo, Seconds horizon,
                          const FailureTrace& trace,
-                         std::vector<SweepUseful>& acc) {
-  const std::size_t n = acc.size();
+                         std::span<std::size_t> lw_out,
+                         std::span<std::size_t> hw_out) {
+  SHIRAZ_REQUIRE(k_lo >= 1, "invalid k range");
+  SHIRAZ_REQUIRE(lw_out.size() == hw_out.size() && !lw_out.empty(),
+                 "sweep count outputs must be non-empty and equally sized");
+  const std::size_t n = lw_out.size();
   const int k_hi = k_lo + static_cast<int>(n) - 1;
   const std::size_t k_lo_sz = static_cast<std::size_t>(k_lo);
   const std::size_t k_hi_sz = static_cast<std::size_t>(k_hi);
@@ -312,15 +316,12 @@ void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
   std::vector<Seconds> seg_end_buf(k_hi_sz);
   Seconds* const seg_end_at = seg_end_buf.data();
 
-  // Candidate k's engine accumulator performs only `useful += tau` additions
-  // of one constant per app, so its final value is a pure function of the
-  // ADDITION COUNT: n sequential adds of tau starting from 0.0, exactly the
-  // sequence the event loop interleaves across gaps. The hot loop therefore
-  // only counts completed segments per candidate (integer adds, no FP
-  // dependency chains), and one shared iterated-sum pass at the end converts
-  // counts back to the engine's doubles.
-  std::vector<std::size_t> lw_segments(n, 0);
-  std::vector<std::size_t> hw_segments(n, 0);
+  // The counts accumulate in a private buffer and are copied out once: the
+  // caller's outputs for neighbouring repetitions may share a cache line,
+  // and another worker may be filling them at the same time.
+  std::vector<std::size_t> counts(2 * n, 0);
+  std::size_t* const lw_segments = counts.data();
+  std::size_t* const hw_segments = lw_segments + n;
 
   const Seconds* fail_times = trace.fail_times().data();
   std::size_t cursor = 0;
@@ -344,39 +345,38 @@ void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
     // light-weight when the gap ended (credit every completed segment).
     const std::size_t switched =
         completed < k_lo_sz ? 0 : std::min(n, completed - k_lo_sz + 1);
-    for (std::size_t i = 0; i < switched; ++i) {
-      const std::size_t k = k_lo_sz + i;
-      lw_segments[i] += k;
-      Seconds t = seg_end_at[k - 1];
-      for (;;) {
-        const Seconds seg_end = t + tau_hw + delta_hw;
-        if (horizon <= seg_end && horizon <= next_fail) break;
-        if (next_fail < seg_end) break;
-        ++hw_segments[i];
-        t = seg_end;
-      }
-    }
+    for (std::size_t i = 0; i < switched; ++i) lw_segments[i] += k_lo_sz + i;
     for (std::size_t i = switched; i < n; ++i) lw_segments[i] += completed;
+
+    // Heavy-weight tails in lockstep. Lane i is candidate k_lo + i's clock,
+    // starting at its switch time seg_end_at[k - 1] (in place: the prefix is
+    // done with the buffer). A step advances every active lane by the
+    // per-candidate loop's own expression, then pops the lanes that stop.
+    // Popping from the top is exact: the lanes start in non-decreasing order;
+    // round-to-nearest addition is monotone (x <= y implies fl(x + c) <=
+    // fl(y + c)), so they stay ordered; and for this gap's next_fail and
+    // horizon the stop test is monotone in seg_end — so at every step the
+    // lanes that stop are a top suffix. Each lane performs the same doubles
+    // as a serial walk and stops at the same step, so a popped lane's count
+    // (the steps it completed) is the serial loop's; what changes is that the
+    // adds no longer form one dependent chain per candidate.
+    Seconds* const lane = seg_end_at + (k_lo_sz - 1);
+    auto stops = [&](Seconds seg_end) {
+      return (horizon <= seg_end && horizon <= next_fail) || next_fail < seg_end;
+    };
+    std::size_t active = switched;
+    for (std::size_t steps = 0; active > 0; ++steps) {
+      for (std::size_t i = 0; i < active; ++i) lane[i] = lane[i] + tau_hw + delta_hw;
+      while (active > 0 && stops(lane[active - 1])) hw_segments[--active] += steps;
+    }
 
     if (next_fail >= horizon) break;
     gap_start = next_fail;
     next_fail = fail_times[cursor++];
   }
 
-  // Replay the engine's accumulator additions once, shared across the range:
-  // running_lw after m iterations equals m sequential `+= tau_lw` from 0.0 —
-  // the exact double every candidate with m credited segments ends at. A
-  // multiplication would round differently and break bit-identity.
-  const std::size_t max_lw = *std::max_element(lw_segments.begin(), lw_segments.end());
-  const std::size_t max_hw = *std::max_element(hw_segments.begin(), hw_segments.end());
-  std::vector<Seconds> lw_sum(max_lw + 1, 0.0);
-  std::vector<Seconds> hw_sum(max_hw + 1, 0.0);
-  for (std::size_t m = 1; m <= max_lw; ++m) lw_sum[m] = lw_sum[m - 1] + tau_lw;
-  for (std::size_t m = 1; m <= max_hw; ++m) hw_sum[m] = hw_sum[m - 1] + tau_hw;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc[i].lw += lw_sum[lw_segments[i]];
-    acc[i].hw += hw_sum[hw_segments[i]];
-  }
+  std::copy(lw_segments, lw_segments + n, lw_out.begin());
+  std::copy(hw_segments, hw_segments + n, hw_out.begin());
 }
 
 }  // namespace shiraz::sim

@@ -31,13 +31,13 @@
 // all (narration is a template parameter, not a per-event branch).
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "sim/engine.h"
 
 namespace shiraz::sim {
-
-struct SweepUseful;
 
 /// Why a configuration can(not) take the flat kernel. `reason` points at a
 /// static string ("" when eligible) so the check is allocation-free — it runs
@@ -88,13 +88,20 @@ bool try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs
 /// One repetition of the shared-prefix k sweep on the kernel: the flat
 /// counterpart of sim/optimizer.cpp's sweep_one_rep for periodic schedules,
 /// with the light-weight interval hoisted to `tau_lw` (== the LW schedule's
-/// period) and the heavy-weight to `tau_hw`. Accumulates, per candidate
-/// k in [k_lo, k_lo + acc.size()), the useful-work additions ShirazPair(k)
-/// performs over `trace` — bit-identical to the event loop's (the hoisted
-/// period equals every next_interval return by the period() contract).
+/// period) and the heavy-weight to `tau_hw`. Writes, per candidate
+/// k = k_lo + i for i in [0, lw_out.size()), the number of light-weight
+/// (lw_out[i]) and heavy-weight (hw_out[i]) segments ShirazPair(k) completes
+/// over `trace`; k_lo must be >= 1 and both spans non-empty and equally
+/// sized. Counts, not doubles: the engine adds the same `tau` once per
+/// completed segment from 0.0, so m sequential `+= tau` from 0.0 (an
+/// iterated-sum table, built once per sweep by replay_pair_sweep) is the
+/// engine's useful work bit for bit — the hoisted period equals every
+/// next_interval return by the period() contract. The heavy-weight tails of
+/// all switched candidates advance in lockstep (DESIGN.md §10).
 void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
                          Seconds delta_hw, int k_lo, Seconds horizon,
                          const FailureTrace& trace,
-                         std::vector<SweepUseful>& acc);
+                         std::span<std::size_t> lw_out,
+                         std::span<std::size_t> hw_out);
 
 }  // namespace shiraz::sim

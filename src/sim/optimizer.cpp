@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -70,9 +71,8 @@ void sweep_one_rep(const SimJob& lw, const SimJob& hw, int k_lo, int k_hi,
     const std::size_t completed = seg_tau.size();
 
     // Per candidate: useful light-weight work up to its switch point, then
-    // its heavy-weight tail until the gap ends. The tail re-runs per
-    // candidate, but it is short (the k-th checkpoint sits deep in the gap
-    // by design) while the prefix — the bulk of the event work — is shared.
+    // its heavy-weight tail until the gap ends. The prefix is shared; each
+    // tail is walked on its own (the flat kernel walks them in lockstep).
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t k = static_cast<std::size_t>(k_lo) + i;
       const std::size_t credited = std::min(k, completed);
@@ -210,19 +210,24 @@ std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& l
 
   const Seconds horizon = engine.config().t_total;
   const std::size_t n = static_cast<std::size_t>(k_hi - k_lo + 1);
-  std::vector<std::vector<SweepUseful>> per_rep(reps, std::vector<SweepUseful>(n));
   // Periodic pairs take the flat kernel's sweep (hoisted intervals, cached
   // failure prefix sums — sim/kernel.h) unless the engine opted out of the
   // kernel; both paths perform identical accumulator additions, so the
-  // output is the same bits either way.
+  // output is the same bits either way. A kernel repetition leaves segment
+  // counts (lw then hw, n each), an event-loop repetition useful work.
   const std::optional<Seconds> lw_period = lw.schedule->period();
   const std::optional<Seconds> hw_period = hw.schedule->period();
   const bool flat =
       engine.config().flat_kernel && lw_period.has_value() && hw_period.has_value();
+  std::vector<std::size_t> counts(flat ? reps * 2 * n : 0);
+  std::vector<std::vector<SweepUseful>> per_rep(flat ? 0 : reps,
+                                                std::vector<SweepUseful>(n));
   auto one_rep = [&](std::size_t r) {
     if (flat) {
+      const std::span<std::size_t> rep_counts(counts.data() + r * 2 * n, 2 * n);
       flat_pair_sweep_rep(*lw_period, lw.delta, *hw_period, hw.delta, k_lo,
-                          horizon, traces.trace(r), per_rep[r]);
+                          horizon, traces.trace(r), rep_counts.first(n),
+                          rep_counts.last(n));
     } else {
       sweep_one_rep(lw, hw, k_lo, k_hi, horizon, traces.trace(r), per_rep[r]);
     }
@@ -234,14 +239,42 @@ std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& l
     common::parallel_for_indexed(handle.get(), reps, one_rep);
   }
 
+  // Replay the engine's accumulator additions once for the whole sweep:
+  // sum[m] is m sequential `+= tau` from 0.0 — the exact double every
+  // candidate with m credited segments ends a repetition at, in every
+  // repetition. A multiplication would round differently.
+  std::vector<Seconds> lw_sum;
+  std::vector<Seconds> hw_sum;
+  if (flat) {
+    auto iterated_sums = [&](std::size_t offset, Seconds tau) {
+      std::size_t max_count = 0;
+      for (std::size_t r = 0; r < reps; ++r) {
+        const std::size_t* c = counts.data() + r * 2 * n + offset;
+        max_count = std::max(max_count, *std::max_element(c, c + n));
+      }
+      std::vector<Seconds> sum(max_count + 1, 0.0);
+      for (std::size_t m = 1; m <= max_count; ++m) sum[m] = sum[m - 1] + tau;
+      return sum;
+    };
+    lw_sum = iterated_sums(0, *lw_period);
+    hw_sum = iterated_sums(n, *hw_period);
+  }
+  auto rep_useful = [&](std::size_t r, std::size_t i) {
+    if (!flat) return per_rep[r][i];
+    const std::size_t* c = counts.data() + r * 2 * n;
+    return SweepUseful{lw_sum[c[i]], hw_sum[c[n + i]]};
+  };
+
   // Merge in repetition order with sim::average's exact accumulation (sum in
   // order, then divide), so the means match run_many's bit for bit.
-  std::vector<SweepUseful> mean = per_rep.front();
+  std::vector<SweepUseful> mean(n);
+  for (std::size_t i = 0; i < n; ++i) mean[i] = rep_useful(0, i);
   const double dn = static_cast<double>(reps);
   for (std::size_t r = 1; r < reps; ++r) {
     for (std::size_t i = 0; i < n; ++i) {
-      mean[i].lw += per_rep[r][i].lw;
-      mean[i].hw += per_rep[r][i].hw;
+      const SweepUseful u = rep_useful(r, i);
+      mean[i].lw += u.lw;
+      mean[i].hw += u.hw;
     }
   }
   for (SweepUseful& u : mean) {

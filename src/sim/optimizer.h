@@ -77,8 +77,9 @@ struct SweepUseful {
 /// through Engine::run_many over the same store (enforced by
 /// tests/sim/trace_replay_test.cpp). Every candidate runs the light-weight
 /// app identically until its k-th checkpoint, so each gap's light-weight
-/// prefix is simulated once and shared across the range; only the (short)
-/// heavy-weight tails are per-candidate. Requires the free-restart,
+/// prefix is simulated once and shared across the range; only the
+/// heavy-weight tails are per-candidate (on the flat kernel they advance in
+/// lockstep, see sim/kernel.h). Requires the free-restart,
 /// free-switch engine configuration the paper's model assumes
 /// (restart_cost == 0 and switch_cost == 0) and k_lo >= 1.
 std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& lw,

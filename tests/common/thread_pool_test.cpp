@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,6 +106,37 @@ TEST(ParallelForIndexed, RethrowsAfterAllTasksComplete) {
                                     }),
                std::runtime_error);
   EXPECT_EQ(visited.load(), static_cast<int>(kN));
+}
+
+/// Runs parallel_for_indexed over n indices, the ones in `throwing` throwing
+/// a message that names their index; returns the rethrown message ("" when
+/// nothing was rethrown) and checks that every index ran exactly once.
+std::string lowest_failure(ThreadPool& pool, std::size_t n,
+                           const std::vector<std::size_t>& throwing) {
+  std::vector<std::atomic<int>> visits(n);
+  std::string message;
+  try {
+    parallel_for_indexed(pool, n, [&](std::size_t i) {
+      visits[i].fetch_add(1, std::memory_order_relaxed);
+      for (const std::size_t t : throwing) {
+        if (i == t) throw std::runtime_error("index " + std::to_string(i));
+      }
+    });
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
+  return message;
+}
+
+TEST(ParallelForIndexed, RethrowsTheLowestIndexException) {
+  // One task per worker pulls indices off a shared counter, so which worker
+  // meets which failure varies run to run; the rethrown one must not.
+  ThreadPool pool(4);
+  EXPECT_EQ(lowest_failure(pool, 64, {40, 17, 5}), "index 5");
+  // Fewer indices than workers: one task per index.
+  EXPECT_EQ(lowest_failure(pool, 3, {2, 1}), "index 1");
+  EXPECT_EQ(lowest_failure(pool, 3, {}), "");
 }
 
 }  // namespace

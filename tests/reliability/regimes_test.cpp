@@ -7,6 +7,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,11 @@ struct RegimeCase {
   /// regimes whose mean_gap is documented as approximate).
   double mean_tol;
 };
+
+/// gtest prints the parameter into each case's ctest name; its default
+/// raw-byte dump would embed heap pointers, so the name would move with
+/// ASLR. The label keeps it stable.
+void PrintTo(const RegimeCase& c, std::ostream* os) { *os << c.label; }
 
 FailureRegimePtr make_markov() {
   MarkovBurstRegime::Config c;

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,12 +215,16 @@ std::vector<CorpusParam> corpus_matrix() {
   return params;
 }
 
-std::string param_name(const std::string& id, PolicyKind kind) {
-  std::string name = id + "_" + policy_name(kind);
+/// gtest names allow no '-', which scenario ids use.
+std::string test_name(std::string name) {
   for (char& ch : name) {
     if (ch == '-') ch = '_';
   }
   return name;
+}
+
+std::string param_name(const std::string& id, PolicyKind kind) {
+  return test_name(id + "_" + policy_name(kind));
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, FlatKernelCorpus,
@@ -383,22 +388,82 @@ TEST(FlatKernel, MultiSwitchAndPairRotationFlatten) {
   }
 }
 
+/// The kernel's pair sweep (lockstep heavy-weight tails, one iterated-sum
+/// table per call) against the event loop's sweep_one_rep, bit for bit, at
+/// workers 1 and 3, over k ranges [1, 64], [20, 32] and [5, 5].
+void expect_sweep_matches_event_loop(const Engine& flat, const Engine& loop,
+                                     const SimJob& lw, const SimJob& hw,
+                                     const TraceStore& traces) {
+  for (const auto& [k_lo, k_hi] : {std::pair{1, 64}, {20, 32}, {5, 5}}) {
+    const std::vector<SweepUseful> want =
+        replay_pair_sweep(loop, lw, hw, k_lo, k_hi, kReps, traces, 1, nullptr);
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE(::testing::Message() << "k in [" << k_lo << ", " << k_hi
+                                        << "], workers " << workers);
+      const std::vector<SweepUseful> got = replay_pair_sweep(
+          flat, lw, hw, k_lo, k_hi, kReps, traces, workers, nullptr);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].lw, want[i].lw) << "k = " << k_lo + static_cast<int>(i);
+        EXPECT_EQ(got[i].hw, want[i].hw) << "k = " << k_lo + static_cast<int>(i);
+      }
+    }
+  }
+}
+
 TEST(FlatKernel, SweepMatchesEventLoopSweep) {
   const Engine flat = make_engine(true);
   const Engine loop = make_engine(false);
   const TraceStore traces(loop, kSeed);
-  const SimJob lw = SimJob::at_oci("lw", kDeltaLw, hours(5.0));
-  const SimJob hw = SimJob::at_oci("hw", kDeltaHw, hours(5.0));
-  const std::vector<SweepUseful> a =
-      replay_pair_sweep(flat, lw, hw, 20, 32, kReps, traces, 1, nullptr);
-  const std::vector<SweepUseful> b =
-      replay_pair_sweep(loop, lw, hw, 20, 32, kReps, traces, 1, nullptr);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].lw, b[i].lw) << "k = " << 20 + i;
-    EXPECT_EQ(a[i].hw, b[i].hw) << "k = " << 20 + i;
+  expect_sweep_matches_event_loop(flat, loop,
+                                  SimJob::at_oci("lw", kDeltaLw, hours(5.0)),
+                                  SimJob::at_oci("hw", kDeltaHw, hours(5.0)),
+                                  traces);
+}
+
+TEST(FlatKernel, SweepTailsThatStopAtTheHorizonMatchTheEventLoop) {
+  // MTBF 500 h over a 60 h horizon: most repetitions see no failure, so the
+  // light-weight prefix runs to k_hi and the heavy-weight tails end at the
+  // horizon rather than at a failure.
+  const Seconds horizon = hours(60.0);
+  const Engine flat = make_engine(true, horizon, hours(500.0));
+  const Engine loop = make_engine(false, horizon, hours(500.0));
+  const TraceStore traces(loop, kSeed);
+  traces.ensure(kReps);
+  std::size_t failure_free = 0;
+  for (std::size_t r = 0; r < kReps; ++r) {
+    if (traces.trace(r).fail_time(0) >= horizon) ++failure_free;
+  }
+  ASSERT_GT(failure_free, 0u);
+  expect_sweep_matches_event_loop(
+      flat, loop, SimJob::at_oci("lw", kDeltaLw, hours(500.0)),
+      SimJob::at_oci("hw", kDeltaHw, hours(500.0)), traces);
+}
+
+// The same check over every shipped failure regime, at the four delta pairs
+// the benchmark's regime sweep searches.
+class FlatKernelSweepCorpus : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FlatKernelSweepCorpus, SweepMatchesTheEventLoopSweep) {
+  const scenario::Scenario& sc = corpus_scenario(GetParam());
+  const reliability::FailureRegimePtr regime = sc.make_regime();
+  const TraceStore traces(*regime, kSeed, sc.horizon);
+  const Engine flat = make_engine(true, sc.horizon, sc.nominal_mtbf);
+  const Engine loop = make_engine(false, sc.horizon, sc.nominal_mtbf);
+  for (const auto& [delta_lw, delta_hw] :
+       {std::pair{18.0, 1800.0}, {6.0, 600.0}, {36.0, 3600.0}, {72.0, 7200.0}}) {
+    SCOPED_TRACE(::testing::Message() << "delta " << delta_lw << "/" << delta_hw);
+    expect_sweep_matches_event_loop(
+        flat, loop, SimJob::at_oci("lw", delta_lw, sc.nominal_mtbf),
+        SimJob::at_oci("hw", delta_hw, sc.nominal_mtbf), traces);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Corpus, FlatKernelSweepCorpus,
+                         ::testing::ValuesIn(corpus_ids()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return test_name(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Eligibility: every fallback rule, and that the dispatcher actually takes
