@@ -1,12 +1,13 @@
 // Engine throughput micro-benchmark: what are the failure-trace replay cache
-// and the flat replay kernel worth on the fig10-shaped switch-point sweep?
+// and the flat replay kernel worth on the fig10-shaped switch-point sweep, and
+// what does arming the metrics registry cost there?
 //
 // The workload is the paper's working point (MTBF 5 h Weibull beta=0.6,
 // campaign 1000 h, pair delta 18 s / 1800 s at OCI) swept over the baseline
 // plus k in [20, 32] — one baseline campaign and 13 Shiraz campaigns over the
-// same `reps` failure streams. Six evaluation modes, all bit-identical
-// (checked here and enforced by tests/sim/trace_replay_test.cpp and
-// tests/sim/kernel_test.cpp):
+// same `reps` failure streams. Eight evaluation modes, all bit-identical
+// (checked here and enforced by tests/sim/trace_replay_test.cpp,
+// tests/sim/kernel_test.cpp and tests/obs/metrics_campaign_test.cpp):
 //
 //   sampled   every campaign re-samples its failure streams draw by draw
 //             (the historical path: per-draw dispatch, per-campaign pools)
@@ -28,6 +29,17 @@
 //             rep-order mean of its audited results. Timed on the event
 //             loop (flat_kernel off) and on the narrating kernel; both must
 //             see the same number of events. `--jobs` does not apply.
+//   kernel-campaigns / kernel-armed
+//             the metrics-overhead pair: the baseline and every k as its own
+//             Engine::run_many campaign on the flat kernel, over one
+//             TraceStore materialized before timing. kernel-armed passes a
+//             fresh obs::MetricsRegistry through CampaignOptions::metrics
+//             each round (the store itself stays unarmed); rounds alternate
+//             unarmed, armed, unarmed, ... so host noise hits both alike.
+//             The armed registry must count exactly (baseline + |k|) x reps
+//             repetitions, every one on the kernel and none on the event
+//             loop, and more gaps than repetitions: arming metrics observes
+//             and must never move a campaign off the kernel.
 //
 // Reported: wall seconds, campaigns/s (campaign = one policy x one rep run)
 // and effective gaps/s (failure draws the equivalent sampled campaigns
@@ -36,7 +48,8 @@
 // `--check` turns the report into a gate: each mode is timed `--repeat`
 // times (best-of, so one scheduling hiccup cannot fail the build) and the
 // exit code is nonzero if any mode's output diverges bit-wise from the
-// sampled mode OR any committed speedup floor is missed. The floors are on
+// sampled mode (so armed == unarmed too), OR the armed counts are not exact,
+// OR any committed speedup floor is missed. The floors are on
 // mode-vs-mode ratios of back-to-back runs of the same workload on the same
 // machine — load-insensitive, unlike absolute campaigns/s. CI runs this on
 // every push, so a change that slows the kernel below its floor fails the
@@ -50,6 +63,7 @@
 
 #include "bench_util.h"
 #include "obs/audit_sim.h"
+#include "obs/metrics.h"
 #include "reliability/weibull.h"
 #include "sim/optimizer.h"
 #include "sim/trace.h"
@@ -67,10 +81,14 @@ namespace {
 // acceptance bar itself: the flat kernel must beat the event-loop sweep 3x.
 // An audited replay pays the auditor per event on both paths, so narration
 // gains less than the bare kernel; its floor sits below the 2-3.5x observed.
+// Armed metrics add a handful of relaxed u64 adds per repetition, buffered
+// and applied on the campaign thread (~1.00x); 0.97 leaves room for timer
+// noise only.
 constexpr double kFloorReplayVsSampled = 1.05;
 constexpr double kFloorSweepVsSampled = 5.0;
 constexpr double kFloorKernelVsSweep = 3.0;
 constexpr double kFloorAuditedKernelVsLoop = 1.5;
+constexpr double kFloorArmedVsUnarmed = 0.97;
 
 struct SweepUsefulByK {
   double baseline_lw = 0.0;
@@ -80,7 +98,7 @@ struct SweepUsefulByK {
 
 struct ModeResult {
   const char* name;
-  double secs = 0.0;
+  double secs = std::numeric_limits<double>::infinity();  // best of repeats
   SweepUsefulByK useful;
 };
 
@@ -123,7 +141,8 @@ int main(int argc, char** argv) {
   const std::size_t campaigns_per_sweep = (n_k + 1) * reps;
 
   bench::banner(
-      "Micro — engine throughput, sampled vs replayed vs flat-kernel sweeps",
+      "Micro — engine throughput, sampled vs replayed vs flat-kernel sweeps, "
+      "armed metrics",
       "fig10 working point: MTBF " + fmt(mtbf_hours, 0) +
           " h, campaign 1000 h, delta 18 s / 1800 s, baseline + k in [" +
           std::to_string(k_lo) + ", " + std::to_string(k_hi) + "], " +
@@ -208,15 +227,15 @@ int main(int argc, char** argv) {
   };
 
   std::vector<ModeResult> modes;
+  auto time_round = [](ModeResult& m, auto&& fn) {
+    const double t0 = now_secs();
+    SweepUsefulByK u = fn();
+    m.secs = std::min(m.secs, now_secs() - t0);
+    m.useful = std::move(u);  // identical on every repeat
+  };
   auto time_mode = [&](const char* name, auto&& fn) {
     ModeResult m{name};
-    m.secs = std::numeric_limits<double>::infinity();
-    for (std::size_t t = 0; t < repeat; ++t) {
-      const double t0 = now_secs();
-      SweepUsefulByK u = fn();
-      m.secs = std::min(m.secs, now_secs() - t0);
-      m.useful = std::move(u);  // identical on every repeat
-    }
+    for (std::size_t t = 0; t < repeat; ++t) time_round(m, fn);
     modes.push_back(std::move(m));
   };
   // -- audited: serve's audit shape — a serial per-rep replay with the
@@ -262,6 +281,42 @@ int main(int argc, char** argv) {
   time_mode("audited-loop", [&] { return run_audited(false); });
   time_mode("audited-kernel", [&] { return run_audited(true); });
 
+  // -- kernel-campaigns / kernel-armed: per-candidate kernel campaigns over
+  //    one pre-materialized store, unarmed and armed rounds interleaved.
+  const sim::TraceStore campaign_traces(fast, seed);
+  campaign_traces.ensure(reps);
+  auto run_campaigns = [&](obs::MetricsRegistry* registry) {
+    SweepUsefulByK u;
+    sim::CampaignOptions copts = campaigns.replay(campaign_traces);
+    copts.metrics = registry;
+    const sim::SimResult base = fast.run_many(jobs, baseline, reps, seed, copts);
+    u.baseline_lw = base.apps[0].useful;
+    u.baseline_hw = base.apps[1].useful;
+    for (int k = k_lo; k <= k_hi; ++k) {
+      const sim::ShirazPairScheduler shiraz(k);
+      const sim::SimResult r = fast.run_many(jobs, shiraz, reps, seed, copts);
+      u.by_k.push_back({r.apps[0].useful, r.apps[1].useful});
+    }
+    return u;
+  };
+  ModeResult unarmed{"kernel-campaigns"};
+  ModeResult armed{"kernel-armed"};
+  struct ArmedCounts {
+    std::uint64_t reps = 0, kernel = 0, event_loop = 0, gaps = 0;
+  } counts;
+  for (std::size_t t = 0; t < repeat; ++t) {
+    time_round(unarmed, [&] { return run_campaigns(nullptr); });
+    // Fresh registry per round, so the counts below are one round's.
+    obs::MetricsRegistry registry;
+    time_round(armed, [&] { return run_campaigns(&registry); });
+    counts = {registry.counter("shiraz_sim_reps_total").value(),
+              registry.counter("shiraz_sim_kernel_replays_total").value(),
+              registry.counter("shiraz_sim_event_loop_runs_total").value(),
+              registry.counter("shiraz_sim_gaps_total").value()};
+  }
+  modes.push_back(std::move(unarmed));
+  modes.push_back(std::move(armed));
+
   // Every mode must produce the same bits — replay and the kernel are
   // optimizations, never approximations.
   bool bit_identical = true;
@@ -271,6 +326,21 @@ int main(int argc, char** argv) {
       std::printf("BIT-IDENTITY FAILURE: mode '%s' diverges from 'sampled'\n",
                   modes[i].name);
     }
+  }
+  // One armed round is exactly `campaigns_per_sweep` repetitions, all on the
+  // kernel, each consuming its failures + 1 gaps; at MTBF 5 h over 1000 h
+  // every repetition sees failures, so gaps > repetitions.
+  const std::uint64_t want = campaigns_per_sweep;
+  const bool counts_exact = counts.reps == want && counts.kernel == want &&
+                            counts.event_loop == 0 && counts.gaps > want;
+  if (!counts_exact) {
+    std::printf("COUNT FAILURE: armed round counted %llu reps, %llu kernel, "
+                "%llu event loop, %llu gaps; expected %zu, %zu, 0, > %zu\n",
+                static_cast<unsigned long long>(counts.reps),
+                static_cast<unsigned long long>(counts.kernel),
+                static_cast<unsigned long long>(counts.event_loop),
+                static_cast<unsigned long long>(counts.gaps),
+                campaigns_per_sweep, campaigns_per_sweep, campaigns_per_sweep);
   }
   // The narrating kernel must emit exactly as many events as the loop.
   const bool events_match = audited_events[0] == audited_events[1];
@@ -297,22 +367,29 @@ int main(int argc, char** argv) {
   const double speedup_kernel = modes[0].secs / modes[3].secs;
   const double speedup_kernel_vs_sweep = modes[2].secs / modes[3].secs;
   const double speedup_audited_kernel_vs_loop = modes[4].secs / modes[5].secs;
+  const double speedup_armed_vs_unarmed = modes[6].secs / modes[7].secs;
   const double speedup_store =
       std::max({speedup_replay, speedup_sweep, speedup_kernel});
   std::printf("\n%zu campaigns (%zu policies x %zu reps), %zu gaps per "
               "repetition set; bit-identity across modes: %s; audited events "
-              "%llu (kernel) vs %llu (loop): %s.\n",
+              "%llu (kernel) vs %llu (loop): %s; armed counts: %s (%llu reps, "
+              "%llu kernel, %llu gaps).\n",
               campaigns_per_sweep, n_k + 1, reps, gaps_per_rep_total,
               bit_identical ? "OK" : "FAILED",
               static_cast<unsigned long long>(audited_events[1]),
               static_cast<unsigned long long>(audited_events[0]),
-              events_match ? "OK" : "FAILED");
+              events_match ? "OK" : "FAILED", counts_exact ? "OK" : "FAILED",
+              static_cast<unsigned long long>(counts.reps),
+              static_cast<unsigned long long>(counts.kernel),
+              static_cast<unsigned long long>(counts.gaps));
   bench::note("Replay removes the per-draw dispatch and RNG work; the sweep "
               "evaluator shares each gap's light-weight prefix across the "
               "whole k range; the flat kernel additionally strips the "
               "per-segment virtual dispatch and event bookkeeping into a "
               "batched pass over the trace's prefix-sum arrays, and narrates "
-              "the event loop's exact stream when an auditor is armed.");
+              "the event loop's exact stream when an auditor is armed. Armed "
+              "metrics count per repetition, buffered and applied in "
+              "repetition order on the campaign thread.");
 
   // The --check gate: committed floors on mode-vs-mode ratios.
   bool floors_ok = true;
@@ -328,12 +405,13 @@ int main(int argc, char** argv) {
         {"kernel_vs_sweep", speedup_kernel_vs_sweep, kFloorKernelVsSweep},
         {"audited_kernel_vs_loop", speedup_audited_kernel_vs_loop,
          kFloorAuditedKernelVsLoop},
+        {"armed_vs_unarmed", speedup_armed_vs_unarmed, kFloorArmedVsUnarmed},
     };
     std::printf("\nSpeedup floors (--check):\n");
     for (const Floor& f : floors) {
       const bool ok = f.value >= f.floor;
       floors_ok = floors_ok && ok;
-      std::printf("  %-22s %6.2fx  (floor %.2fx)  %s\n", f.name, f.value,
+      std::printf("  %-22s %7.3fx  (floor %.2fx)  %s\n", f.name, f.value,
                   f.floor, ok ? "ok" : "REGRESSION");
     }
   }
@@ -378,13 +456,22 @@ int main(int argc, char** argv) {
     w.kv("bit_identical", bit_identical);
     w.kv("audited_events", audited_events[1]);
     w.kv("audited_events_match", events_match);
+    w.kv("speedup_armed_vs_unarmed", speedup_armed_vs_unarmed);
+    w.key("armed_counts").begin_object();
+    w.kv("reps", counts.reps);
+    w.kv("kernel_replays", counts.kernel);
+    w.kv("event_loop_runs", counts.event_loop);
+    w.kv("gaps", counts.gaps);
+    w.end_object();
+    w.kv("armed_counts_exact", counts_exact);
     w.key("check").begin_object();
     w.kv("enabled", check);
     w.kv("floor_replayed_vs_sampled", kFloorReplayVsSampled);
     w.kv("floor_sweep_vs_sampled", kFloorSweepVsSampled);
     w.kv("floor_kernel_vs_sweep", kFloorKernelVsSweep);
     w.kv("floor_audited_kernel_vs_loop", kFloorAuditedKernelVsLoop);
-    w.kv("pass", bit_identical && events_match && floors_ok);
+    w.kv("floor_armed_vs_unarmed", kFloorArmedVsUnarmed);
+    w.kv("pass", bit_identical && events_match && counts_exact && floors_ok);
     w.end_object();
     w.end_object();
 
@@ -403,5 +490,5 @@ int main(int argc, char** argv) {
     std::printf("Wrote %s.\n", json_path.c_str());
   }
 
-  return bit_identical && events_match && floors_ok ? 0 : 1;
+  return bit_identical && events_match && counts_exact && floors_ok ? 0 : 1;
 }

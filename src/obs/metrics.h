@@ -5,8 +5,8 @@
 // ever touches an RNG or changes a control-flow decision because metrics are
 // on, so every bench and test output stays bit-identical with the registry
 // armed — for every --jobs value (regression-tested in
-// tests/obs/metrics_campaign_test.cpp and gated by
-// bench/micro_metrics_overhead --check).
+// tests/obs/metrics_campaign_test.cpp and gated by the kernel-armed mode of
+// bench/micro_engine_throughput --check).
 //
 // Concurrency model. Counters and histograms are sharded: writers hit a
 // per-thread cache-line-padded atomic shard with a relaxed add, and readers

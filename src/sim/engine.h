@@ -63,7 +63,7 @@ struct EngineConfig {
   /// repetitions evaluated, kernel-vs-event-loop dispatch, gaps consumed.
   /// Metrics are pure observers with the same contract as `sink` — no RNG
   /// access, no control-flow influence — so arming them is bit-identical to
-  /// an unarmed run (gated by bench/micro_metrics_overhead --check); a null
+  /// an unarmed run (gated by bench/micro_engine_throughput --check); a null
   /// registry costs one pointer compare per repetition. Campaigns buffer the
   /// per-repetition increments and apply them in repetition order, so the
   /// registry's mutation order is worker-count-invariant too.

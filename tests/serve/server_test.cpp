@@ -93,6 +93,75 @@ TEST(ServeServer, ConcurrentClientsEachGetTheirOwnOrderedResponses) {
   server.wait();
 }
 
+/// Client `c`'s request `i`: solve_k, oci, checkpoint_now and pair_whatif in
+/// turn over four signatures every client shares, so the daemon's cache,
+/// registry and whatif path see concurrent hits and misses. Whatif seeds
+/// differ between clients on the same signature.
+std::string mixed_line(std::size_t c, std::size_t i) {
+  static const char* const kSignatures[] = {
+      R"("mtbf_hours":5,"delta_lw_s":18,"delta_hw_s":1800)",
+      R"("mtbf_hours":5,"delta_lw_s":72,"delta_hw_s":1800)",
+      R"("mtbf_hours":20,"delta_lw_s":18,"delta_hw_s":1800)",
+      R"("mtbf_hours":5,"delta_lw_s":36,"delta_hw_s":3600)",
+  };
+  const std::string sig = kSignatures[(c + i / 4) % std::size(kSignatures)];
+  const std::string head = R"({"id":)" + std::to_string(c * 1000 + i) + ",";
+  switch (i % 4) {
+    case 0:
+      return head + R"("op":"solve_k",)" + sig + "}";
+    case 1:
+      return head + R"("op":"oci","mtbf_hours":5,"delta_s":)" +
+             std::to_string(600 * (1 + (c + i) % 3)) + "}";
+    case 2:
+      return head + R"("op":"checkpoint_now","mtbf_hours":5,"delta_s":60,)" +
+             R"("since_ckpt_s":)" + std::to_string(900 * (i % 3)) + "}";
+    default:
+      return head + R"("op":"pair_whatif",)" + sig +
+             R"(,"t_total_hours":100,"reps":2,"seed":)" +
+             std::to_string(c + 1) + "}";
+  }
+}
+
+TEST(ServeServer, ConcurrentMixedClientsMatchAFreshService) {
+  ServerConfig cfg;
+  cfg.socket_path = temp_socket("mixed");
+  cfg.threads = 4;
+  Server server(cfg);
+  server.serve_async();
+  ASSERT_TRUE(wait_for_server(cfg.socket_path));
+
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kRequests = 16;
+  std::vector<std::vector<std::string>> responses(kClients);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        Client client(cfg.socket_path);
+        for (std::size_t i = 0; i < kRequests; ++i) {
+          responses[c].push_back(client.request(mixed_line(c, i)));
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  server.request_stop();
+  server.wait();
+
+  // Each line is answered again by a Service of its own (empty cache, no
+  // other request before it): a response must depend on its line alone.
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(responses[c].size(), kRequests);
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const std::string line = mixed_line(c, i);
+      EXPECT_NE(responses[c][i].find(R"("ok":true)"), std::string::npos)
+          << line << " -> " << responses[c][i];
+      EXPECT_EQ(responses[c][i], Service().handle(line)) << line;
+    }
+  }
+  EXPECT_EQ(server.service().counters().pair_whatif, kClients * kRequests / 4);
+}
+
 TEST(ServeServer, ShutdownRequestStopsTheDaemon) {
   ServerConfig cfg;
   cfg.socket_path = temp_socket("shutdown");

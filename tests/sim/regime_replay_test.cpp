@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,11 @@ struct RegimeCase {
   std::string label;
   std::function<FailureRegimePtr()> make;
 };
+
+/// gtest prints the parameter into each case's ctest name; its default
+/// raw-byte dump would embed heap pointers, so the name would move with
+/// ASLR. The label keeps it stable.
+void PrintTo(const RegimeCase& c, std::ostream* os) { *os << c.label; }
 
 std::vector<RegimeCase> all_cases() {
   return {
