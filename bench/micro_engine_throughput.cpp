@@ -34,21 +34,29 @@
 //             Engine::run_many campaign on the flat kernel, over one
 //             TraceStore materialized before timing. kernel-armed passes a
 //             fresh obs::MetricsRegistry through CampaignOptions::metrics
-//             each round (the store itself stays unarmed); rounds alternate
+//             each round (the store itself stays unarmed); runs alternate
 //             unarmed, armed, unarmed, ... so host noise hits both alike.
 //             The armed registry must count exactly (baseline + |k|) x reps
-//             repetitions, every one on the kernel and none on the event
-//             loop, and more gaps than repetitions: arming metrics observes
-//             and must never move a campaign off the kernel.
+//             repetitions per run, every one on the kernel and none on the
+//             event loop, and more gaps than repetitions: arming metrics
+//             observes and must never move a campaign off the kernel.
 //
-// Reported: wall seconds, campaigns/s (campaign = one policy x one rep run)
-// and effective gaps/s (failure draws the equivalent sampled campaigns
-// perform). `--json=FILE` dumps the numbers for CI trend tracking.
+// Reported: wall seconds of a mode's fastest run, campaigns/s (campaign =
+// one policy x one rep run) and effective gaps/s (failure draws the
+// equivalent sampled campaigns perform). `--json=FILE` dumps the numbers for
+// CI trend tracking.
 //
-// `--check` turns the report into a gate: each mode is timed `--repeat`
-// times (best-of, so one scheduling hiccup cannot fail the build) and the
-// exit code is nonzero if any mode's output diverges bit-wise from the
-// sampled mode (so armed == unarmed too), OR the armed counts are not exact,
+// Each mode runs its work again and again, in `--repeat` rounds of at least
+// 50 ms each, and reports its fastest run. The rounds go round-robin over
+// the modes, and the metrics pair alternates run by run, so the fastest
+// modes (the kernel's ~2 ms at CI's 64 reps) get dozens of chances at a clean
+// run spread over the whole bench, not three back to back that one burst of
+// host steal can spoil.
+//
+// `--check` turns the report into a gate: the fastest runs are compared (so
+// one scheduling hiccup cannot fail the build) and the exit code is nonzero
+// if any mode's output diverges bit-wise from the sampled mode (so armed ==
+// unarmed too), OR the armed counts are not exact,
 // OR any committed speedup floor is missed. The floors are on
 // mode-vs-mode ratios of back-to-back runs of the same workload on the same
 // machine — load-insensitive, unlike absolute campaigns/s. CI runs this on
@@ -58,6 +66,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -74,7 +84,7 @@ namespace {
 
 // Committed speedup floors enforced by --check, set below the observed
 // steady-state ratios (see DESIGN.md §10) so only a real regression — not
-// machine noise on the best-of-N timings — can cross them. Replay saves the
+// machine noise on the fastest-run timings — can cross them. Replay saves the
 // RNG draws but still walks the event loop, so its steady-state gain is
 // modest (~1.2x); its floor just pins "replay is never slower than
 // sampling". The sweep runs ~11x over sampled, and the kernel's floor is the
@@ -90,6 +100,10 @@ constexpr double kFloorKernelVsSweep = 3.0;
 constexpr double kFloorAuditedKernelVsLoop = 1.5;
 constexpr double kFloorArmedVsUnarmed = 0.97;
 
+// Shortest timed round: a mode's work runs again within a round until this
+// much time has passed.
+constexpr double kMinRoundSecs = 0.05;
+
 struct SweepUsefulByK {
   double baseline_lw = 0.0;
   double baseline_hw = 0.0;
@@ -98,7 +112,8 @@ struct SweepUsefulByK {
 
 struct ModeResult {
   const char* name;
-  double secs = std::numeric_limits<double>::infinity();  // best of repeats
+  // Seconds of the fastest run of the mode's work.
+  double secs = std::numeric_limits<double>::infinity();
   SweepUsefulByK useful;
 };
 
@@ -147,7 +162,9 @@ int main(int argc, char** argv) {
           " h, campaign 1000 h, delta 18 s / 1800 s, baseline + k in [" +
           std::to_string(k_lo) + ", " + std::to_string(k_hi) + "], " +
           run.describe() +
-          (check ? ", --check (best of " + std::to_string(repeat) + ")" : ""));
+          (check ? ", --check (fastest run of " + std::to_string(repeat) +
+                       " rounds)"
+                 : ""));
 
   const Seconds mtbf = hours(mtbf_hours);
   // Two engines over the same failure process: `loop` pins the historical
@@ -226,17 +243,17 @@ int main(int argc, char** argv) {
     return u;
   };
 
-  std::vector<ModeResult> modes;
-  auto time_round = [](ModeResult& m, auto&& fn) {
-    const double t0 = now_secs();
-    SweepUsefulByK u = fn();
-    m.secs = std::min(m.secs, now_secs() - t0);
-    m.useful = std::move(u);  // identical on every repeat
-  };
-  auto time_mode = [&](const char* name, auto&& fn) {
-    ModeResult m{name};
-    for (std::size_t t = 0; t < repeat; ++t) time_round(m, fn);
-    modes.push_back(std::move(m));
+  // One timed round: the work runs until kMinRoundSecs have passed.
+  auto time_round = [](ModeResult& m, const std::function<SweepUsefulByK()>& fn) {
+    const double start = now_secs();
+    double t0 = start;
+    double t1 = start;
+    do {
+      m.useful = fn();  // identical on every run
+      t1 = now_secs();
+      m.secs = std::min(m.secs, t1 - t0);
+      t0 = t1;
+    } while (t1 - start < kMinRoundSecs);
   };
   // -- audited: serve's audit shape — a serial per-rep replay with the
   //    auditor as the engine's sink, verified per rep, campaigns summarized
@@ -274,15 +291,8 @@ int main(int argc, char** argv) {
     return u;
   };
 
-  time_mode("sampled", run_sampled);
-  time_mode("replayed", run_replayed);
-  time_mode("sweep", run_sweep);
-  time_mode("kernel", run_kernel);
-  time_mode("audited-loop", [&] { return run_audited(false); });
-  time_mode("audited-kernel", [&] { return run_audited(true); });
-
   // -- kernel-campaigns / kernel-armed: per-candidate kernel campaigns over
-  //    one pre-materialized store, unarmed and armed rounds interleaved.
+  //    one pre-materialized store, unarmed and armed runs alternating.
   const sim::TraceStore campaign_traces(fast, seed);
   campaign_traces.ensure(reps);
   auto run_campaigns = [&](obs::MetricsRegistry* registry) {
@@ -299,23 +309,47 @@ int main(int argc, char** argv) {
     }
     return u;
   };
-  ModeResult unarmed{"kernel-campaigns"};
-  ModeResult armed{"kernel-armed"};
+
+  // Rounds go round-robin over the modes, so each mode's rounds spread over
+  // the whole run: a slow stretch of the host costs every mode one round
+  // instead of one mode all of its rounds.
+  std::vector<ModeResult> modes{{"sampled"},        {"replayed"},
+                                {"sweep"},          {"kernel"},
+                                {"audited-loop"},   {"audited-kernel"},
+                                {"kernel-campaigns"}, {"kernel-armed"}};
+  const std::function<SweepUsefulByK()> work[] = {
+      run_sampled, run_replayed, run_sweep, run_kernel,
+      [&] { return run_audited(false); }, [&] { return run_audited(true); }};
+  ModeResult& unarmed = modes[6];
+  ModeResult& armed = modes[7];
   struct ArmedCounts {
-    std::uint64_t reps = 0, kernel = 0, event_loop = 0, gaps = 0;
+    std::uint64_t runs = 0, reps = 0, kernel = 0, event_loop = 0, gaps = 0;
   } counts;
   for (std::size_t t = 0; t < repeat; ++t) {
-    time_round(unarmed, [&] { return run_campaigns(nullptr); });
-    // Fresh registry per round, so the counts below are one round's.
+    for (std::size_t i = 0; i < std::size(work); ++i) time_round(modes[i], work[i]);
+    // The metrics pair alternates run by run within one round, so host noise
+    // hits both alike. Fresh registry per round, so the counts below are one
+    // round's.
     obs::MetricsRegistry registry;
-    time_round(armed, [&] { return run_campaigns(&registry); });
-    counts = {registry.counter("shiraz_sim_reps_total").value(),
+    std::size_t runs = 0;
+    const double start = now_secs();
+    double t0 = start;
+    double t2 = start;
+    do {
+      unarmed.useful = run_campaigns(nullptr);
+      const double t1 = now_secs();
+      armed.useful = run_campaigns(&registry);
+      t2 = now_secs();
+      unarmed.secs = std::min(unarmed.secs, t1 - t0);
+      armed.secs = std::min(armed.secs, t2 - t1);
+      t0 = t2;
+      ++runs;
+    } while (t2 - start < 2.0 * kMinRoundSecs);
+    counts = {runs, registry.counter("shiraz_sim_reps_total").value(),
               registry.counter("shiraz_sim_kernel_replays_total").value(),
               registry.counter("shiraz_sim_event_loop_runs_total").value(),
               registry.counter("shiraz_sim_gaps_total").value()};
   }
-  modes.push_back(std::move(unarmed));
-  modes.push_back(std::move(armed));
 
   // Every mode must produce the same bits — replay and the kernel are
   // optimizations, never approximations.
@@ -327,20 +361,25 @@ int main(int argc, char** argv) {
                   modes[i].name);
     }
   }
-  // One armed round is exactly `campaigns_per_sweep` repetitions, all on the
-  // kernel, each consuming its failures + 1 gaps; at MTBF 5 h over 1000 h
-  // every repetition sees failures, so gaps > repetitions.
-  const std::uint64_t want = campaigns_per_sweep;
+  // One run of the armed work is exactly `campaigns_per_sweep` repetitions,
+  // all on the kernel, each consuming its failures + 1 gaps; at MTBF 5 h over
+  // 1000 h every repetition sees failures, so gaps > repetitions. The last
+  // armed round ran the work `counts.runs` times.
+  const std::uint64_t want = counts.runs * campaigns_per_sweep;
   const bool counts_exact = counts.reps == want && counts.kernel == want &&
                             counts.event_loop == 0 && counts.gaps > want;
   if (!counts_exact) {
-    std::printf("COUNT FAILURE: armed round counted %llu reps, %llu kernel, "
-                "%llu event loop, %llu gaps; expected %zu, %zu, 0, > %zu\n",
+    std::printf("COUNT FAILURE: armed round (%llu runs) counted %llu reps, "
+                "%llu kernel, %llu event loop, %llu gaps; expected %llu, %llu, "
+                "0, > %llu\n",
+                static_cast<unsigned long long>(counts.runs),
                 static_cast<unsigned long long>(counts.reps),
                 static_cast<unsigned long long>(counts.kernel),
                 static_cast<unsigned long long>(counts.event_loop),
                 static_cast<unsigned long long>(counts.gaps),
-                campaigns_per_sweep, campaigns_per_sweep, campaigns_per_sweep);
+                static_cast<unsigned long long>(want),
+                static_cast<unsigned long long>(want),
+                static_cast<unsigned long long>(want));
   }
   // The narrating kernel must emit exactly as many events as the loop.
   const bool events_match = audited_events[0] == audited_events[1];
@@ -372,13 +411,14 @@ int main(int argc, char** argv) {
       std::max({speedup_replay, speedup_sweep, speedup_kernel});
   std::printf("\n%zu campaigns (%zu policies x %zu reps), %zu gaps per "
               "repetition set; bit-identity across modes: %s; audited events "
-              "%llu (kernel) vs %llu (loop): %s; armed counts: %s (%llu reps, "
-              "%llu kernel, %llu gaps).\n",
+              "%llu (kernel) vs %llu (loop): %s; armed counts: %s (%llu runs: "
+              "%llu reps, %llu kernel, %llu gaps).\n",
               campaigns_per_sweep, n_k + 1, reps, gaps_per_rep_total,
               bit_identical ? "OK" : "FAILED",
               static_cast<unsigned long long>(audited_events[1]),
               static_cast<unsigned long long>(audited_events[0]),
               events_match ? "OK" : "FAILED", counts_exact ? "OK" : "FAILED",
+              static_cast<unsigned long long>(counts.runs),
               static_cast<unsigned long long>(counts.reps),
               static_cast<unsigned long long>(counts.kernel),
               static_cast<unsigned long long>(counts.gaps));
@@ -434,6 +474,7 @@ int main(int argc, char** argv) {
     w.kv("jobs", static_cast<std::uint64_t>(workers));
     w.kv("seed", seed);
     w.kv("timing_repeats", static_cast<std::uint64_t>(repeat));
+    w.kv("min_round_seconds", kMinRoundSecs);
     w.end_object();
     w.kv("campaigns_per_sweep", static_cast<std::uint64_t>(campaigns_per_sweep));
     w.kv("gaps_per_rep_set", static_cast<std::uint64_t>(gaps_per_rep_total));
@@ -462,6 +503,7 @@ int main(int argc, char** argv) {
     w.kv("kernel_replays", counts.kernel);
     w.kv("event_loop_runs", counts.event_loop);
     w.kv("gaps", counts.gaps);
+    w.kv("runs", counts.runs);
     w.end_object();
     w.kv("armed_counts_exact", counts_exact);
     w.key("check").begin_object();

@@ -386,41 +386,88 @@ CampaignStats WorkloadManager::run(const std::vector<BatchJobSpec>& jobs,
       job_interval *= static_cast<double>(config_.hw_stretch);
     }
 
-    // One segment: compute (capped by the remaining work) then checkpoint
-    // (skipped on the completing segment — a finishing job just ends).
-    const bool completing = remaining[job] <= job_interval;
-    const Seconds run_time = completing ? remaining[job] : job_interval;
-    const Seconds delta = completing ? 0.0 : jobs[job].checkpoint_cost;
-    const Seconds seg_end = now + run_time + delta;
-
-    if (config_.horizon <= std::min(seg_end, next_fail)) {
-      rec.lost += config_.horizon - now;  // work in flight at the horizon
-      now = config_.horizon;
-      break;
+    // The stretch: `job` runs segment after segment — compute (capped by the
+    // remaining work) then checkpoint (skipped on the completing segment; a
+    // finishing job just ends) — until something other than a plain
+    // checkpointed segment happens. After a plain segment the scheduler
+    // round above changes nothing (activate() fills a slot only when one is
+    // free and the head arrival is due; the current job changes only at the
+    // light member's k-th checkpoint; a failure must be due), so the stretch
+    // ends exactly where that round would act, and performs the same
+    // additions in the same order on locals written back once.
+    const Seconds ckpt_cost = jobs[job].checkpoint_cost;
+    const bool light_in_pair = active.size() == 2 && job == light_of_pair();
+    // gap_ckpts at which the light member yields the machine to the heavy one.
+    const std::size_t yield_at =
+        light_in_pair && policy == Policy::kShirazPairing && pair_k
+            ? static_cast<std::size_t>(*pair_k)
+            : std::numeric_limits<std::size_t>::max();
+    const Seconds arrival_due = active.size() == 1 ? next_arrival() : kInf;
+    enum class End { kHorizon, kFailure, kCompleted, kCheckpointed };
+    End end;
+    Seconds t = now;
+    Seconds useful = rec.useful;
+    Seconds io = rec.io;
+    double checkpoints = rec.checkpoints;
+    Seconds left = remaining[job];
+    for (;;) {
+      const bool completing = left <= job_interval;
+      const Seconds run_time = completing ? left : job_interval;
+      const Seconds delta = completing ? 0.0 : ckpt_cost;
+      const Seconds seg_end = t + run_time + delta;
+      if (config_.horizon <= std::min(seg_end, next_fail)) {
+        end = End::kHorizon;
+        break;
+      }
+      if (next_fail < seg_end) {
+        end = End::kFailure;
+        break;
+      }
+      t = seg_end;
+      useful += run_time;
+      left -= run_time;
+      if (completing) {
+        end = End::kCompleted;
+        break;
+      }
+      io += delta;
+      checkpoints += 1.0;
+      if (light_in_pair) ++gap_ckpts;
+      // A failure due at this boundary, the light member's k-th checkpoint,
+      // or a due arrival for the free slot: the scheduler round acts.
+      if (next_fail <= t || gap_ckpts == yield_at || arrival_due <= t) {
+        end = End::kCheckpointed;
+        break;
+      }
     }
-    if (next_fail < seg_end) {
-      rec.lost += next_fail - now;
-      now = next_fail;
-      handle_failure(job);
-      activate();
-      continue;
-    }
+    now = t;
+    rec.useful = useful;
+    rec.io = io;
+    rec.checkpoints = checkpoints;
+    remaining[job] = left;
 
-    now = seg_end;
-    rec.useful += run_time;
-    remaining[job] -= run_time;
-    if (completing) {
-      rec.completion_time = now;
-      stats.makespan = std::max(stats.makespan, now);
-      active.erase(std::find(active.begin(), active.end(), job));
-      gap_ckpts = 0;
-      // A refill re-solves inside activate(); otherwise the pair shrank.
-      if (!activate()) resolve_pair();
-    } else {
-      rec.io += delta;
-      rec.checkpoints += 1.0;
-      if (active.size() == 2 && job == light_of_pair()) ++gap_ckpts;
-      activate();  // a new arrival may fill an empty second slot
+    switch (end) {
+      case End::kHorizon:  // work in flight at the horizon; the loop ends
+        rec.lost += config_.horizon - now;
+        now = config_.horizon;
+        break;
+      case End::kFailure:
+        rec.lost += next_fail - now;
+        now = next_fail;
+        handle_failure(job);
+        activate();
+        break;
+      case End::kCompleted:
+        rec.completion_time = now;
+        stats.makespan = std::max(stats.makespan, now);
+        active.erase(std::find(active.begin(), active.end(), job));
+        gap_ckpts = 0;
+        // A refill re-solves inside activate(); otherwise the pair shrank.
+        if (!activate()) resolve_pair();
+        break;
+      case End::kCheckpointed:
+        activate();  // a new arrival may fill an empty second slot
+        break;
     }
   }
 

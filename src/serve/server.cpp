@@ -11,6 +11,7 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "serve/protocol.h"
 
 namespace shiraz::serve {
 
@@ -201,6 +202,15 @@ void Server::handle_connection(int fd) {
       }
     }
     buffer.erase(0, start);
+    // A partial line past the cap is refused once, and the peer is hung up on.
+    if (open && buffer.size() > kMaxRequestLineBytes) {
+      const std::string out =
+          error_response("request line exceeds " +
+                         std::to_string(kMaxRequestLineBytes) + " bytes") +
+          "\n";
+      write_all(fd, out.data(), out.size());
+      break;
+    }
   }
   untrack(fd);
   ::close(fd);

@@ -3,6 +3,8 @@
 // One accept thread hands each connection to a common::ThreadPool worker;
 // the worker reads newline-delimited requests, answers each through
 // Service::handle_line, and writes one response line per request, in order.
+// A partial line longer than kMaxRequestLineBytes is refused with one error
+// response and the connection closes.
 // A `shutdown` request (or Server::request_stop) stops the accept loop and
 // shuts down every live connection's socket, so blocked reads return and
 // workers drain promptly. request_stop only flips flags and shuts down file
@@ -27,6 +29,11 @@ class Gauge;
 }  // namespace shiraz::obs
 
 namespace shiraz::serve {
+
+/// Longest partial request line a connection may buffer. A client that sends
+/// more than this without a newline gets one error response, and then the
+/// connection closes, so no client can grow the daemon's memory without bound.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 struct ServerConfig {
   /// Path of the Unix-domain socket to bind. Required; at most ~100 bytes

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,6 +11,8 @@
 #include "obs/metrics.h"
 #include "reliability/exponential.h"
 #include "reliability/weibull.h"
+
+#include "manager_reference.h"
 
 namespace shiraz::sched {
 namespace {
@@ -29,32 +30,6 @@ reliability::Weibull exa_failures() {
 
 /// A calm machine: failures effectively never happen.
 reliability::Exponential calm() { return reliability::Exponential(hours(1e9)); }
-
-/// Deterministic failure process replaying a fixed gap list, then going
-/// quiet — lets edge-case tests put a failure at an exact instant.
-class ScriptedGaps final : public reliability::Distribution {
- public:
-  explicit ScriptedGaps(std::vector<Seconds> gaps) : gaps_(std::move(gaps)) {}
-
-  Seconds sample(Rng& /*rng*/) const override {
-    if (next_ < gaps_.size()) return gaps_[next_++];
-    return hours(1e9);
-  }
-  double cdf(Seconds /*t*/) const override { return 0.0; }
-  double pdf(Seconds /*t*/) const override { return 0.0; }
-  Seconds mean() const override { return hours(1e9); }
-  Seconds quantile(double /*u*/) const override { return hours(1e9); }
-  std::string name() const override { return "ScriptedGaps"; }
-  std::unique_ptr<reliability::Distribution> clone() const override {
-    auto copy = std::make_unique<ScriptedGaps>(gaps_);
-    copy->next_ = next_;
-    return copy;
-  }
-
- private:
-  std::vector<Seconds> gaps_;
-  mutable std::size_t next_ = 0;
-};
 
 Seconds young_interval(Seconds delta) {
   return checkpoint::optimal_interval(hours(5.0), delta,
@@ -270,9 +245,7 @@ TEST(WorkloadManager, DeterministicPerSeed) {
   Rng r2(9);
   const CampaignStats a = mgr.run(mixed_pair(), Policy::kShirazPairing, r1);
   const CampaignStats b = mgr.run(mixed_pair(), Policy::kShirazPairing, r2);
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_DOUBLE_EQ(a.total_lost(), b.total_lost());
+  expect_bit_identical(a, b);
 }
 
 TEST(WorkloadManager, RejectsBadInput) {
@@ -418,9 +391,7 @@ TEST(WorkloadManager, DefaultRestartCostKeepsOutputsBitIdentical) {
   const WorkloadManager b(exa_failures(), explicit_zero);
   const CampaignStats sa = a.run_many(mixed_pair(), Policy::kShirazPairing, 4, 42);
   const CampaignStats sb = b.run_many(mixed_pair(), Policy::kShirazPairing, 4, 42);
-  EXPECT_DOUBLE_EQ(sa.makespan, sb.makespan);
-  EXPECT_DOUBLE_EQ(sa.total_lost(), sb.total_lost());
-  EXPECT_DOUBLE_EQ(sa.total_io(), sb.total_io());
+  expect_bit_identical(sa, sb);
 }
 
 // --- event-tie and switch-window edge cases -------------------------------
@@ -582,31 +553,13 @@ TEST(WorkloadManager, RunManyBitIdenticalAcrossWorkerCounts) {
   const CampaignRunOptions wide{4, nullptr};
   const CampaignStats a = mgr.run_many(jobs, Policy::kShirazPairing, 6, 31, serial);
   const CampaignStats b = mgr.run_many(jobs, Policy::kShirazPairing, 6, 31, wide);
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_DOUBLE_EQ(a.elapsed, b.elapsed);
-  EXPECT_DOUBLE_EQ(a.failures, b.failures);
-  EXPECT_DOUBLE_EQ(a.idle, b.idle);
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (std::size_t j = 0; j < a.jobs.size(); ++j) {
-    EXPECT_DOUBLE_EQ(a.jobs[j].useful, b.jobs[j].useful);
-    EXPECT_DOUBLE_EQ(a.jobs[j].io, b.jobs[j].io);
-    EXPECT_DOUBLE_EQ(a.jobs[j].lost, b.jobs[j].lost);
-    EXPECT_DOUBLE_EQ(a.jobs[j].checkpoints, b.jobs[j].checkpoints);
-    EXPECT_DOUBLE_EQ(a.jobs[j].start_time, b.jobs[j].start_time);
-    EXPECT_DOUBLE_EQ(a.jobs[j].completion_time, b.jobs[j].completion_time);
-    EXPECT_EQ(a.jobs[j].completed_reps, b.jobs[j].completed_reps);
-  }
+  expect_bit_identical(a, b);
 
   const CampaignDistribution da =
       mgr.run_distribution(jobs, Policy::kShirazPairing, 6, 31, serial);
   const CampaignDistribution db =
       mgr.run_distribution(jobs, Policy::kShirazPairing, 6, 31, wide);
-  EXPECT_DOUBLE_EQ(da.completion_rate, db.completion_rate);
-  EXPECT_DOUBLE_EQ(da.turnaround.p50, db.turnaround.p50);
-  EXPECT_DOUBLE_EQ(da.turnaround.p99, db.turnaround.p99);
-  EXPECT_DOUBLE_EQ(da.turnaround.max, db.turnaround.max);
-  EXPECT_DOUBLE_EQ(da.slowdown.p95, db.slowdown.p95);
-  EXPECT_DOUBLE_EQ(da.makespan.mean, db.makespan.mean);
+  expect_bit_identical(da, db);
 }
 
 TEST(WorkloadManager, RejectsBadConfigKnobs) {

@@ -4,9 +4,14 @@
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <cstring>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -195,6 +200,102 @@ TEST(ServeServer, UnbindableSocketThrowsIoError) {
   ServerConfig too_long;
   too_long.socket_path = std::string(200, 'x');
   EXPECT_THROW(Server{too_long}, IoError);
+}
+
+/// A bare AF_UNIX connection, for a byte stream the line Client never sends.
+class RawSocket {
+ public:
+  explicit RawSocket(const std::string& path)
+      : fd_(::socket(AF_UNIX, SOCK_STREAM, 0)) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    connected_ = fd_ >= 0 &&
+                 ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+    // A daemon that never answers or hangs up fails the test instead of
+    // hanging it.
+    const timeval timeout{30, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  }
+  ~RawSocket() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawSocket(const RawSocket&) = delete;
+  RawSocket& operator=(const RawSocket&) = delete;
+
+  bool connected() const { return connected_; }
+
+  /// Sends as much of `bytes` as the peer accepts; returns the count sent
+  /// (short when the peer hangs up).
+  std::size_t send_all(const std::string& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n =
+          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    return sent;
+  }
+
+  /// Reads until the peer closes (or the timeout passes) and returns what
+  /// arrived. A peer that closes with our bytes still unread reports
+  /// ECONNRESET once before end of file; both mean closed.
+  std::string read_until_closed() {
+    std::string received;
+    char chunk[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return received;
+      received.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+};
+
+TEST(ServeServer, OversizedLineIsRefusedAndOthersAreServed) {
+  ServerConfig cfg;
+  cfg.socket_path = temp_socket("oversized");
+  cfg.threads = 2;
+  Server server(cfg);
+  server.serve_async();
+  ASSERT_TRUE(wait_for_server(cfg.socket_path));
+  Service direct;
+  Client client(cfg.socket_path);
+
+  // 2 MiB without a newline: one error line, then the daemon hangs up
+  // without reading the rest.
+  {
+    RawSocket flood(cfg.socket_path);
+    ASSERT_TRUE(flood.connected());
+    const std::size_t sent =
+        flood.send_all(std::string(2 * kMaxRequestLineBytes, 'x'));
+    EXPECT_GT(sent, kMaxRequestLineBytes);
+    const std::string reply = flood.read_until_closed();
+    ASSERT_FALSE(reply.empty());
+    EXPECT_EQ(reply.find('\n'), reply.size() - 1) << "exactly one line";
+    const JsonValue doc = parse_json(reply.substr(0, reply.size() - 1));
+    EXPECT_FALSE(doc.at("ok").boolean);
+    EXPECT_NE(doc.at("error").string.find("exceeds"), std::string::npos);
+  }
+
+  // The other client is served as usual.
+  EXPECT_EQ(client.request(kSolve), direct.handle(kSolve));
+
+  // A garbage line one byte under the cap is an ordinary request: the
+  // normal parse error, and the connection stays open for the next line.
+  const std::string garbage(kMaxRequestLineBytes - 1, 'x');
+  EXPECT_EQ(client.request(garbage), direct.handle(garbage));
+  EXPECT_EQ(client.request(kSolve), direct.handle(kSolve));
+  server.request_stop();
+  server.wait();
 }
 
 TEST(ServeServer, StaleSocketFileIsReplaced) {
