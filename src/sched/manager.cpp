@@ -47,23 +47,23 @@ struct ManagerCounters {
   }
 };
 
-/// Runs repetitions 0 .. reps-1 (rep r on Rng(seed).fork(r)) and hands each
-/// to `fold` on the calling thread in repetition order, as soon as it and
-/// every earlier repetition have landed; a folded repetition is freed at
+/// Runs repetitions 0 .. reps-1 (`run_rep` on Rng(seed).fork(r)) and hands
+/// each to `fold` on the calling thread in repetition order, as soon as it
+/// and every earlier repetition have landed; a folded repetition is freed at
 /// once. With workers > 1 at most workers + 1 repetitions are in flight, so
 /// about workers + 2 campaigns' stats are alive instead of all `reps`.
 /// Exceptions keep parallel_for_indexed's contract: every submitted
 /// repetition finishes before this returns, and the lowest-index failure —
 /// the first one met, since repetitions are awaited in order — is rethrown.
-template <typename Fold>
-void fold_reps(const WorkloadManager& mgr, const std::vector<BatchJobSpec>& jobs,
-               Policy policy, std::size_t reps, std::uint64_t seed,
-               const CampaignRunOptions& options, Fold&& fold) {
+template <typename RunRep, typename Fold>
+void fold_reps(std::size_t reps, std::uint64_t seed,
+               const CampaignRunOptions& options, RunRep&& run_rep,
+               Fold&& fold) {
   SHIRAZ_REQUIRE(reps >= 1, "need at least one repetition");
   const Rng master(seed);
   auto run_one = [&](std::size_t r) {
     Rng rng = master.fork(r);
-    return mgr.run(jobs, policy, rng);
+    return run_rep(rng);
   };
   if (options.workers <= 1 || reps == 1) {
     for (std::size_t r = 0; r < reps; ++r) fold(run_one(r));
@@ -100,6 +100,73 @@ struct WorkloadManager::SimSolveMemo {
   std::mutex mu;
   std::map<std::pair<Seconds, Seconds>, std::optional<int>> k_by_pair;
 };
+
+/// What a campaign derives from its job list alone (given the manager's
+/// config), validated and built once per run()/run_many()/run_distribution()
+/// call and read by every repetition of it. Queue positions and classes are
+/// 32-bit, which halves the index next to size_t.
+struct WorkloadManager::JobIndex {
+  using Pos = std::uint32_t;
+  /// The pending queue: job indices in submit order (stable, so equal submit
+  /// times keep list order). A "position" below indexes this list.
+  std::vector<Pos> arrivals;
+  /// Each job's checkpoint interval at the nominal MTBF.
+  std::vector<Seconds> interval;
+  // Contrast slot fill only (empty under FCFS): queue positions grouped by
+  // exact checkpoint cost. Position p belongs to class class_of[p], the next
+  // position of its class is next_of[p] (n after the last), and class c
+  // starts at first_of[c].
+  std::vector<Pos> class_of;
+  std::vector<Pos> next_of;
+  std::vector<Pos> first_of;
+
+  JobIndex(const std::vector<BatchJobSpec>& jobs, const ManagerConfig& config);
+};
+
+WorkloadManager::JobIndex::JobIndex(const std::vector<BatchJobSpec>& jobs,
+                                    const ManagerConfig& config) {
+  SHIRAZ_REQUIRE(!jobs.empty(), "no jobs submitted");
+  SHIRAZ_REQUIRE(jobs.size() < std::numeric_limits<Pos>::max(),
+                 "too many jobs for one campaign");
+  for (const BatchJobSpec& job : jobs) {
+    SHIRAZ_REQUIRE(job.work > 0.0, "job work must be positive: " + job.name);
+    SHIRAZ_REQUIRE(job.checkpoint_cost > 0.0,
+                   "job checkpoint cost must be positive: " + job.name);
+    SHIRAZ_REQUIRE(job.submit_time >= 0.0, "negative submit time: " + job.name);
+  }
+  const Pos n = static_cast<Pos>(jobs.size());
+  interval.resize(n);
+  for (Pos i = 0; i < n; ++i) {
+    interval[i] = checkpoint::optimal_interval(
+        config.nominal_mtbf, jobs[i].checkpoint_cost, config.oci_formula);
+  }
+  arrivals.resize(n);
+  std::iota(arrivals.begin(), arrivals.end(), Pos{0});
+  std::stable_sort(arrivals.begin(), arrivals.end(), [&](Pos a, Pos b) {
+    return jobs[a].submit_time < jobs[b].submit_time;
+  });
+  if (config.slot_fill != SlotFill::kContrast) return;
+
+  // One pass in queue order: a cost seen for the first time opens a class,
+  // a repeat links behind its class's latest position.
+  std::map<Seconds, Pos> class_by_cost;
+  std::vector<Pos> last_of;
+  class_of.resize(n);
+  next_of.assign(n, n);
+  for (Pos pos = 0; pos < n; ++pos) {
+    const auto [it, fresh] = class_by_cost.try_emplace(
+        jobs[arrivals[pos]].checkpoint_cost, static_cast<Pos>(first_of.size()));
+    const Pos c = it->second;
+    if (fresh) {
+      first_of.push_back(pos);
+      last_of.push_back(pos);
+    } else {
+      next_of[last_of[c]] = pos;
+      last_of[c] = pos;
+    }
+    class_of[pos] = c;
+  }
+}
 
 WorkloadManager::WorkloadManager(const reliability::Distribution& failure_dist,
                                  const ManagerConfig& config)
@@ -166,45 +233,49 @@ core::SolverCacheKey WorkloadManager::cache_key(Seconds delta_lw,
 
 CampaignStats WorkloadManager::run(const std::vector<BatchJobSpec>& jobs,
                                    Policy policy, Rng& rng) const {
-  SHIRAZ_REQUIRE(!jobs.empty(), "no jobs submitted");
-  for (const BatchJobSpec& job : jobs) {
-    SHIRAZ_REQUIRE(job.work > 0.0, "job work must be positive: " + job.name);
-    SHIRAZ_REQUIRE(job.checkpoint_cost > 0.0,
-                   "job checkpoint cost must be positive: " + job.name);
-    SHIRAZ_REQUIRE(job.submit_time >= 0.0, "negative submit time: " + job.name);
-  }
+  return run(jobs, JobIndex(jobs, config_), policy, rng);
+}
 
+CampaignStats WorkloadManager::run(const std::vector<BatchJobSpec>& jobs,
+                                   const JobIndex& index, Policy policy,
+                                   Rng& rng) const {
   const ManagerCounters counters(config_.metrics);
   if (counters.submitted != nullptr) counters.submitted->add(jobs.size());
 
+  const std::size_t n = jobs.size();
+  const std::vector<JobIndex::Pos>& arrivals = index.arrivals;
+  const std::vector<Seconds>& interval = index.interval;
   CampaignStats stats;
   stats.horizon = config_.horizon;
-  stats.jobs.resize(jobs.size());
-  std::vector<Seconds> remaining(jobs.size());
-  std::vector<Seconds> interval(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  stats.jobs.resize(n);
+  std::vector<Seconds> remaining(n);
+  for (std::size_t i = 0; i < n; ++i) {
     stats.jobs[i].name = jobs[i].name;
     stats.jobs[i].submit_time = jobs[i].submit_time;
     remaining[i] = jobs[i].work;
-    interval[i] = checkpoint::optimal_interval(
-        config_.nominal_mtbf, jobs[i].checkpoint_cost, config_.oci_formula);
   }
 
-  // Pending jobs as a submit-sorted arrival list walked by a head cursor;
+  // Pending jobs as the submit-sorted arrival list walked by a head cursor;
   // `taken` marks positions activated out of order (contrast slot-fill), so
   // queue operations stay O(1) amortized at 10k-job scale.
-  const std::size_t n = jobs.size();
-  std::vector<std::size_t> arrivals(n);
-  std::iota(arrivals.begin(), arrivals.end(), std::size_t{0});
-  std::stable_sort(arrivals.begin(), arrivals.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return jobs[a].submit_time < jobs[b].submit_time;
-                   });
   std::vector<char> taken(n, 0);
   std::size_t head = 0;
   auto advance_head = [&]() {
     while (head < n && taken[head] != 0) ++head;
   };
+
+  // Contrast fill's view of the queue by cost class. A class gives up its
+  // positions in queue order (every take is of a class's oldest untaken
+  // position), so class_head[c] — that position, n once c is used up — is
+  // all a class needs. `due` holds the classes whose head lies before
+  // due_end, the first position not submitted by the latest fill, and
+  // due_slot[c] is c's index in it.
+  const bool contrast_fill = config_.slot_fill == SlotFill::kContrast;
+  std::vector<JobIndex::Pos> class_head = index.first_of;
+  std::vector<JobIndex::Pos> due;
+  due.reserve(class_head.size());
+  std::vector<JobIndex::Pos> due_slot(class_head.size());
+  std::size_t due_end = 0;
 
   std::vector<std::size_t> active;  // at most two machine-sharing jobs
   active.reserve(2);
@@ -270,6 +341,16 @@ CampaignStats WorkloadManager::run(const std::vector<BatchJobSpec>& jobs,
     active.push_back(job);
     if (!stats.jobs[job].started()) stats.jobs[job].start_time = now;
     advance_head();
+    if (!contrast_fill) return;
+    // `pos` is its class's head (the queue head or a fill's pick); the class
+    // stops being due when its next position lies past due_end.
+    const JobIndex::Pos c = index.class_of[pos];
+    class_head[c] = index.next_of[pos];
+    if (pos < due_end && class_head[c] >= due_end) {
+      due_slot[due.back()] = due_slot[c];
+      due[due_slot[c]] = due.back();
+      due.pop_back();
+    }
   };
 
   // The eligible arrival position that should fill the second machine slot,
@@ -278,16 +359,30 @@ CampaignStats WorkloadManager::run(const std::vector<BatchJobSpec>& jobs,
   auto pick_second = [&]() -> std::optional<std::size_t> {
     advance_head();
     if (head >= n || jobs[arrivals[head]].submit_time > now) return std::nullopt;
-    if (config_.slot_fill == SlotFill::kFcfs) return head;
+    if (!contrast_fill) return head;
+    // The eligible positions are the untaken ones before the first position
+    // submitted after `now` (positions before `head` are all taken, so no
+    // class head lies there). A class whose head is passed becomes due.
+    for (due_end = std::max(due_end, head);
+         due_end < n && jobs[arrivals[due_end]].submit_time <= now; ++due_end) {
+      const JobIndex::Pos c = index.class_of[due_end];
+      if (class_head[c] == due_end) {
+        due_slot[c] = static_cast<JobIndex::Pos>(due.size());
+        due.push_back(c);
+      }
+    }
+    // A class's later positions have its head's contrast and sit later in
+    // the queue, so they lose every tie: the heads decide. `due` is not in
+    // queue order, so an equal contrast wins from an earlier position —
+    // the same pick as a strict `>` walked in queue order.
     const double occupant = jobs[active[0]].checkpoint_cost;
     std::size_t best = head;
     double best_contrast = -1.0;
-    for (std::size_t p = head; p < n; ++p) {
-      if (taken[p] != 0) continue;
-      if (jobs[arrivals[p]].submit_time > now) break;
+    for (const JobIndex::Pos c : due) {
+      const std::size_t p = class_head[c];
       const double contrast =
           std::abs(std::log(jobs[arrivals[p]].checkpoint_cost / occupant));
-      if (contrast > best_contrast) {
+      if (contrast > best_contrast || (contrast == best_contrast && p < best)) {
         best_contrast = contrast;
         best = p;
       }
@@ -491,18 +586,24 @@ CampaignStats WorkloadManager::run_many(const std::vector<BatchJobSpec>& jobs,
                                         Policy policy, std::size_t reps,
                                         std::uint64_t seed,
                                         const CampaignRunOptions& options) const {
+  const JobIndex index(jobs, config_);
   MeanFold mean;
-  fold_reps(*this, jobs, policy, reps, seed, options,
-            [&](CampaignStats rep) { mean.add(rep); });
+  fold_reps(
+      reps, seed, options,
+      [&](Rng& rng) { return run(jobs, index, policy, rng); },
+      [&](CampaignStats rep) { mean.add(rep); });
   return std::move(mean).finish();
 }
 
 CampaignDistribution WorkloadManager::run_distribution(
     const std::vector<BatchJobSpec>& jobs, Policy policy, std::size_t reps,
     std::uint64_t seed, const CampaignRunOptions& options) const {
+  const JobIndex index(jobs, config_);
   DistributionFold dist(jobs, reps);
-  fold_reps(*this, jobs, policy, reps, seed, options,
-            [&](CampaignStats rep) { dist.add(rep); });
+  fold_reps(
+      reps, seed, options,
+      [&](Rng& rng) { return run(jobs, index, policy, rng); },
+      [&](CampaignStats rep) { dist.add(rep); });
   return std::move(dist).finish();
 }
 

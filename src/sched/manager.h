@@ -22,7 +22,16 @@
 // (ManagerConfig::slot_fill): FCFS reproduces the paper's random pairing —
 // whoever is oldest gets the free slot — while kContrast picks the eligible
 // job whose checkpoint cost contrasts most with the current occupant's, the
-// workload-manager form of the paper's extreme pairing.
+// workload-manager form of the paper's extreme pairing. Jobs with the same
+// checkpoint cost contrast equally and the oldest of them wins, so a
+// contrast fill compares only the oldest untaken job of each cost class
+// that is due (a fleet catalog has a handful of classes, a bursty backlog
+// a hundred jobs), never more entries than the backlog itself.
+//
+// What a campaign derives from the job list alone — validation, the
+// submit-ordered queue, per-job OCI, and (contrast fill only) the cost-class
+// index — is built once per run()/run_many()/run_distribution() call and
+// read by all of that call's repetitions.
 //
 // Jobs are finite: a job completes when its accumulated *useful* work reaches
 // its requirement; the final partial interval is not checkpointed. Completion
@@ -62,7 +71,9 @@ enum class SlotFill {
   /// The eligible job whose checkpoint cost contrasts most (largest
   /// |log delta ratio|) with the job already on the machine — the paper's
   /// extreme pairing, applied at slot-fill time. Falls back to FCFS when the
-  /// eligible backlog has a single job; ties break in queue order.
+  /// eligible backlog has a single job; ties break in queue order. A fill
+  /// evaluates one candidate per cost class — the class's oldest untaken
+  /// job, if it is due — since the rest of a class ties with it and loses.
   kContrast,
 };
 
@@ -174,6 +185,12 @@ class WorkloadManager {
 
  private:
   struct SimSolveMemo;  // mutex + signature map, shared so managers stay copyable
+  struct JobIndex;  // what a campaign derives from its job list alone
+
+  /// One campaign over `jobs`, indexed by `index` (built from `jobs` with
+  /// this manager's config); read-only in both, so repetitions share them.
+  CampaignStats run(const std::vector<BatchJobSpec>& jobs,
+                    const JobIndex& index, Policy policy, Rng& rng) const;
 
   /// Memoized sim-backed switch-point solve (sim_solve_reps > 0); nullopt
   /// means no beneficial switch point, i.e. alternate at every failure.

@@ -184,9 +184,25 @@ TEST(WorkloadManagerFold, RunManyMatchesSerialMean) {
   }
 }
 
+/// A failure process whose every draw throws, so every repetition fails at
+/// its first draw, in flight on a worker.
+class ThrowingDraws final : public reliability::Distribution {
+ public:
+  Seconds sample(Rng& /*rng*/) const override {
+    throw InvalidArgument("no failure draws here");
+  }
+  double cdf(Seconds /*t*/) const override { return 0.0; }
+  double pdf(Seconds /*t*/) const override { return 0.0; }
+  Seconds mean() const override { return hours(1.0); }
+  Seconds quantile(double /*u*/) const override { return hours(1.0); }
+  std::string name() const override { return "ThrowingDraws"; }
+  std::unique_ptr<reliability::Distribution> clone() const override {
+    return std::make_unique<ThrowingDraws>();
+  }
+};
+
 TEST(WorkloadManagerFold, InvalidJobThrowsWithoutHanging) {
-  // Every repetition rejects the stream; the fold must wait for the ones in
-  // flight and rethrow instead of deadlocking or leaking a running task.
+  // The job list is validated once per call, before any repetition runs.
   std::vector<BatchJobSpec> jobs = fleet_stream();
   jobs[jobs.size() / 2].work = 0.0;
   const WorkloadManager mgr = manager_for(kCells[1], false);
@@ -196,6 +212,17 @@ TEST(WorkloadManagerFold, InvalidJobThrowsWithoutHanging) {
                InvalidArgument);
   EXPECT_THROW(mgr.run_many(jobs, Policy::kShirazPairing, kReps, kSeed, two),
                InvalidArgument);
+
+  // Every repetition throws in flight: the fold must wait for the ones
+  // running and rethrow instead of deadlocking or leaking a running task.
+  const WorkloadManager throwing(ThrowingDraws(), mgr.config());
+  const std::vector<BatchJobSpec> valid = fleet_stream();
+  EXPECT_THROW(throwing.run_distribution(valid, Policy::kShirazPairing, kReps,
+                                         kSeed, two),
+               InvalidArgument);
+  EXPECT_THROW(
+      throwing.run_many(valid, Policy::kShirazPairing, kReps, kSeed, two),
+      InvalidArgument);
 }
 
 }  // namespace

@@ -1,14 +1,20 @@
 // Differential oracle for WorkloadManager::run: its stretch loop (one inner
-// loop per uninterrupted run of plain checkpointed segments) against the
-// per-segment reference loop it replaced (manager_reference.h), every
-// CampaignStats and BatchJobRecord field compared bit for bit. The grid
-// crosses both policies and both slot fills with restart cost, the Shiraz+
-// stretch and a fixed switch point, over Poisson and bursty fleet streams,
-// plus scripted event ties where the stretch must end exactly where the
-// per-segment round would act.
+// loop per uninterrupted run of plain checkpointed segments) and its
+// cost-class contrast fill against the per-segment reference loop with the
+// backlog-scanning fill (manager_reference.h), every CampaignStats and
+// BatchJobRecord field compared bit for bit. The grid crosses both policies
+// and both slot fills with restart cost, the Shiraz+ stretch and a fixed
+// switch point, over Poisson and bursty fleet streams (and one 10k-job
+// bursty stream), plus scripted event ties where the stretch must end
+// exactly where the per-segment round would act. The contrast fill also
+// meets all-distinct costs and scripted fills at its edges: cross-class
+// ties, a class head not yet due, jobs submitted at the fill instant, and
+// repeated costs behind a taken class head.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,12 +34,20 @@ struct Cell {
   SlotFill fill;
 };
 
-std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
-  return std::string(info.param.policy == Policy::kBaselineAlternate
-                         ? "baseline"
-                         : "shiraz") +
-         (info.param.fill == SlotFill::kFcfs ? "_fcfs" : "_contrast");
+std::string label(const Cell& cell) {
+  return std::string(cell.policy == Policy::kBaselineAlternate ? "baseline"
+                                                               : "shiraz") +
+         (cell.fill == SlotFill::kFcfs ? "_fcfs" : "_contrast");
 }
+
+std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
+  return label(info.param);
+}
+
+constexpr Cell kContrastCells[] = {
+    {Policy::kBaselineAlternate, SlotFill::kContrast},
+    {Policy::kShirazPairing, SlotFill::kContrast},
+};
 
 /// The knobs the stretch loop must honour: restart downtime moves `now` off
 /// segment boundaries, the stretch changes the heavy member's segment, and a
@@ -83,18 +97,29 @@ std::vector<BatchJobSpec> fleet_stream(ArrivalRegime regime,
   return generate_arrivals(fleet_catalog(), acfg, kJobs, rng);
 }
 
+/// `jobs` with every checkpoint cost made distinct: job i's cost scaled by
+/// 1 + i·1e-6, far too little to reach another catalog class.
+std::vector<BatchJobSpec> with_distinct_costs(std::vector<BatchJobSpec> jobs) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].checkpoint_cost *= 1.0 + 1e-6 * static_cast<double>(i);
+  }
+  return jobs;
+}
+
 /// Runs `jobs` through the manager and the reference with the same config,
-/// failure process and seed, and compares every field.
-void expect_matches_reference(const ManagerConfig& cfg,
-                              const reliability::Distribution& failures,
-                              const std::vector<BatchJobSpec>& jobs,
-                              Policy policy, std::uint64_t seed) {
+/// failure process and seed, compares every field, and returns the
+/// manager's campaign.
+CampaignStats expect_matches_reference(const ManagerConfig& cfg,
+                                       const reliability::Distribution& failures,
+                                       const std::vector<BatchJobSpec>& jobs,
+                                       Policy policy, std::uint64_t seed) {
   const WorkloadManager mgr(failures, cfg, shared_cache());
   Rng want_rng(seed);
   Rng got_rng(seed);
   const CampaignStats want = reference_run(mgr, failures, jobs, policy, want_rng);
-  const CampaignStats got = mgr.run(jobs, policy, got_rng);
+  CampaignStats got = mgr.run(jobs, policy, got_rng);
   expect_bit_identical(want, got);
+  return got;
 }
 
 class WorkloadManagerDifferential : public ::testing::TestWithParam<Cell> {};
@@ -119,6 +144,24 @@ TEST_P(WorkloadManagerDifferential, FleetStreamsMatchThePerSegmentLoop) {
         }
       }
     }
+  }
+}
+
+// A 10k-job bursty stream (exp_fleet_campaign's default one) builds the deep
+// backlogs the 300-job streams rarely reach: a fill meets ~100 queued jobs.
+TEST_P(WorkloadManagerDifferential, TenThousandJobBurstyStreamMatchesThePerSegmentLoop) {
+  ArrivalConfig acfg;
+  acfg.regime = ArrivalRegime::kBursty;
+  Rng arrival_rng = Rng(20186060).fork(102);
+  const std::vector<BatchJobSpec> jobs =
+      generate_arrivals(fleet_catalog(), acfg, 10'000, arrival_rng);
+  const auto failures = reliability::Weibull::from_mtbf(0.6, hours(5.0));
+  const Seconds drain = hours(1.2 * 10.0 * 10'000 + 2000.0);
+  for (const Knobs& knobs : {kKnobs[0], kKnobs[7]}) {
+    SCOPED_TRACE(describe(knobs));
+    expect_matches_reference(config_for(GetParam(), knobs, drain), failures,
+                             jobs, GetParam().policy, 7);
+    if (HasFailure()) return;
   }
 }
 
@@ -176,6 +219,102 @@ TEST_P(WorkloadManagerDifferential, ScriptedTiesMatchThePerSegmentLoop) {
       expect_matches_reference(config_for(GetParam(), knobs, hours(5000.0)),
                                gaps, tie.jobs, GetParam().policy, 1);
       if (HasFailure()) return;
+    }
+  }
+}
+
+// The contrast fill compares one head per cost class; with every cost
+// distinct each class is a single job and the fill meets the whole backlog.
+// Every pair is a new solve signature here, so Shiraz runs at a fixed k.
+TEST(WorkloadManagerContrastFill, DistinctCostStreamsMatchThePerSegmentLoop) {
+  const auto failures = reliability::Weibull::from_mtbf(0.6, hours(5.0));
+  const Seconds drain = hours(1.2 * 10.0 * kJobs + 2000.0);
+  for (const Cell cell : kContrastCells) {
+    for (const ArrivalRegime regime :
+         {ArrivalRegime::kPoisson, ArrivalRegime::kBursty}) {
+      const std::vector<BatchJobSpec> jobs =
+          with_distinct_costs(fleet_stream(regime, kSeeds[0]));
+      std::set<Seconds> costs;
+      for (const BatchJobSpec& job : jobs) costs.insert(job.checkpoint_cost);
+      ASSERT_EQ(costs.size(), jobs.size());
+      for (const Knobs& knobs : kKnobs) {
+        if (knobs.fixed_pair_k == 0) continue;
+        SCOPED_TRACE(label(cell) + ", " + to_string(regime) + ", " +
+                     describe(knobs));
+        expect_matches_reference(config_for(cell, knobs, drain), failures, jobs,
+                                 cell.policy, kSeeds[0]);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+// Scripted contrast fills against one occupant, "O" (checkpoint cost 4 s,
+// far more work than the scenario lasts). A failure at t = 0 moves the
+// baseline's alternation to the second slot, so under either policy the
+// job filled beside O runs — Shiraz runs the light member first and the
+// heavy one until the next failure, which never comes — and completes in
+// one segment before O does: every fill is made against O.
+struct ContrastScenario {
+  const char* label;
+  std::vector<BatchJobSpec> jobs;
+  /// Job names in the order the fills must start them.
+  std::vector<const char*> start_order;
+};
+
+/// A job short enough to complete in its first segment.
+BatchJobSpec brief(const char* name, Seconds cost, Seconds submit) {
+  return {name, 10.0, cost, submit};
+}
+
+TEST(WorkloadManagerContrastFill, ScriptedFillsMatchThePerSegmentLoop) {
+  // The occupant's cost sits halfway (in log) between 2 s and 8 s, so both
+  // contrast exactly as much: the earlier-queued one must win.
+  ASSERT_EQ(std::abs(std::log(2.0 / 4.0)), std::abs(std::log(8.0 / 4.0)));
+  const BatchJobSpec occupant{"O", hours(100.0), 4.0, 0.0};
+  const BatchJobSpec first_partner = brief("P", 1.0, 0.0);
+  const ContrastScenario scenarios[] = {
+      {"cross-class tie, 2 s queued first",
+       {occupant, first_partner, brief("X", 2.0, 1.0), brief("Y", 8.0, 2.0)},
+       {"P", "X", "Y"}},
+      {"cross-class tie, 8 s queued first",
+       {occupant, first_partner, brief("Y", 8.0, 1.0), brief("X", 2.0, 2.0)},
+       {"P", "Y", "X"}},
+      // H1 is taken at t = 0, so its class's head becomes H2, which is not
+      // due for 1000 h and contrasts more with O than the due X does.
+      {"class head not yet due behind a due job of another class",
+       {occupant, brief("H1", 64.0, 0.0), brief("X", 2.0, 1.0),
+        brief("H2", 64.0, hours(1000.0))},
+       {"H1", "X", "H2"}},
+      // A and B are submitted at the instant of the first fill: both are
+      // due, and B contrasts more.
+      {"jobs submitted at the fill instant",
+       {occupant, brief("A", 2.0, 0.0), brief("B", 64.0, 0.0)},
+       {"B", "A"}},
+      // Y1 and X tie and Y1 is older; once Y1 is taken its class's head is
+      // Y2, which ties with X again but is younger.
+      {"repeated costs behind a taken class head",
+       {occupant, first_partner, brief("Y1", 8.0, 1.0), brief("X", 2.0, 2.0),
+        brief("Y2", 8.0, 3.0)},
+       {"P", "Y1", "X", "Y2"}},
+  };
+  const ScriptedGaps gaps({0.0});
+  for (const Cell cell : kContrastCells) {
+    for (const ContrastScenario& scenario : scenarios) {
+      for (const Knobs& knobs : kKnobs) {
+        SCOPED_TRACE(std::string(scenario.label) + ", " + label(cell) + ", " +
+                     describe(knobs));
+        const CampaignStats got = expect_matches_reference(
+            config_for(cell, knobs, hours(5000.0)), gaps, scenario.jobs,
+            cell.policy, 1);
+        for (std::size_t i = 1; i < scenario.start_order.size(); ++i) {
+          EXPECT_LT(got.job(scenario.start_order[i - 1]).start_time,
+                    got.job(scenario.start_order[i]).start_time)
+              << scenario.start_order[i - 1] << " must start before "
+              << scenario.start_order[i];
+        }
+        if (HasFailure()) return;
+      }
     }
   }
 }
