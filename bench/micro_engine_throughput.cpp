@@ -18,9 +18,9 @@
 //             whole k range in one replayed pass sharing each gap's
 //             light-weight prefix
 //   kernel    TraceStore + the flat replay kernel (sim/kernel.h): baseline
-//             campaigns through sim::flat_replay, the k range through the
-//             kernel sweep — batched passes over the trace's prefix-sum
-//             arrays, no virtual dispatch in the inner loops
+//             campaigns through the engine's kernel dispatch, the k range
+//             through the kernel sweep — batched passes over the trace's
+//             prefix sums, no virtual dispatch in the inner loops
 //   audited-loop / audited-kernel
 //             the audit serve's pair_whatif ships: TraceStore, then every
 //             repetition of every campaign replays serially with an
@@ -230,7 +230,7 @@ int main(int argc, char** argv) {
   };
 
   // -- kernel: store + flat kernel for everything — the baseline campaigns
-  //    dispatch to sim::flat_replay, the k range to the kernel sweep.
+  //    dispatch to sim::try_flat_replay, the k range to the kernel sweep.
   auto run_kernel = [&]() {
     SweepUsefulByK u;
     const sim::TraceStore traces(fast, seed);

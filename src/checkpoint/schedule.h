@@ -26,9 +26,10 @@ class IntervalSchedule {
 
   /// The constant interval when this schedule is periodic (the same value for
   /// every elapsed time), else nullopt. A non-null period MUST equal every
-  /// next_interval() return bit for bit — consumers (sim::flat_replay, the
-  /// sweep hoists in sim/optimizer.cpp) substitute it for the virtual call
-  /// and rely on exact equality to stay bit-identical to the event loop.
+  /// next_interval() return bit for bit — consumers (the flat replay kernel
+  /// in sim/kernel.cpp, the sweep hoists in sim/optimizer.cpp) substitute it
+  /// for the virtual call and rely on exact equality to stay bit-identical to
+  /// the event loop.
   virtual std::optional<Seconds> period() const { return std::nullopt; }
 
   virtual std::string name() const = 0;

@@ -115,10 +115,12 @@ SimResult Engine::run_impl(const std::vector<SimJob>& jobs, const Scheduler& sch
   // structure-of-arrays buffers instead of the per-event walk below. An
   // armed sink rides along: the kernel narrates the same event stream this
   // loop would emit. Ineligible configurations — live runs, alarms, costs,
-  // aperiodic schedules, stateful policies — fall through to the event loop.
+  // aperiodic schedules, policies without a phase plan
+  // (Scheduler::flat_plan) — fall through to the event loop.
   if (trace != nullptr && config_.flat_kernel) {
     SimResult flat;
-    if (try_flat_replay(config_, jobs, scheduler, alarms, sink, *trace, &flat)) {
+    if (try_flat_replay(config_, jobs, scheduler, alarms, sink, *trace, &flat) ==
+        nullptr) {
       if (used_kernel != nullptr) *used_kernel = true;
       return flat;
     }

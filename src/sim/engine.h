@@ -123,10 +123,11 @@ class Engine {
                 Rng& rng, const AlarmSource* alarms = nullptr) const;
 
   /// Replays one campaign from a materialized failure trace instead of
-  /// sampling: the engine walks the trace with a cursor and reconstructs
-  /// failure times with the same `now + gap` additions the live run
-  /// performs, so the result is bit-identical to run() with the RNG the
-  /// trace was sampled from. The trace's horizon must cover the engine's.
+  /// sampling: the event loop (or the flat kernel, see sim/kernel.h) reads
+  /// the trace's cached failure times (FailureTrace::fail_time), prefix sums
+  /// built with the same `now + gap` additions the live run performs, so the
+  /// result is bit-identical to run() with the RNG the trace was sampled
+  /// from. The trace's horizon must cover the engine's.
   SimResult replay(const std::vector<SimJob>& jobs, const Scheduler& scheduler,
                    const FailureTrace& trace) const;
 

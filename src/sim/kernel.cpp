@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
-#include <typeinfo>
 #include <vector>
 
 #include "common/error.h"
@@ -15,113 +13,6 @@
 namespace shiraz::sim {
 
 namespace {
-
-constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
-
-/// One scheduler phase inside a gap: run `app` until it completes `budget`
-/// checkpoints (kUnbounded = until the gap ends).
-struct KernelPhase {
-  std::size_t app = 0;
-  std::size_t budget = kUnbounded;
-};
-
-/// The scheduler's behavior flattened into per-gap phase plans. Every
-/// supported policy is gap-local: which apps run, in what order, and for how
-/// many checkpoints depends only on the failure count at gap start, cycling
-/// with period plans.size(). Plan `f % plans.size()` governs the gap opened
-/// by failure number f (the campaign opens with f == 0).
-struct FlatPlan {
-  std::vector<std::vector<KernelPhase>> plans;
-};
-
-/// Flattens `scheduler` for `num_apps` apps, or returns a static reason why
-/// it cannot. Matches exact dynamic types: a subclass may override any hook,
-/// so an is-a match would be unsound.
-const char* build_plan(std::size_t num_apps, const Scheduler& scheduler,
-                       FlatPlan* out) {
-  const std::type_info& type = typeid(scheduler);
-  if (type == typeid(AlternateAtFailure)) {
-    // Gap f runs app f % n until the next failure.
-    out->plans.resize(num_apps);
-    for (std::size_t i = 0; i < num_apps; ++i) {
-      out->plans[i] = {KernelPhase{i, kUnbounded}};
-    }
-    return nullptr;
-  }
-  if (type == typeid(ShirazPairScheduler)) {
-    if (num_apps != 2) return "ShirazPairScheduler needs exactly two apps";
-    const int k = static_cast<const ShirazPairScheduler&>(scheduler).k();
-    out->plans.resize(1);
-    if (k == 0) {
-      out->plans[0] = {KernelPhase{1, kUnbounded}};
-    } else {
-      out->plans[0] = {KernelPhase{0, static_cast<std::size_t>(k)},
-                       KernelPhase{1, kUnbounded}};
-    }
-    return nullptr;
-  }
-  if (type == typeid(MultiSwitchScheduler)) {
-    const std::vector<int>& ks =
-        static_cast<const MultiSwitchScheduler&>(scheduler).ks();
-    if (num_apps != ks.size() + 1) {
-      return "MultiSwitchScheduler app count must be one more than its ks";
-    }
-    // Zero counts skip that app's turn (Scheduler::next_runnable semantics);
-    // the last app always runs to the gap's end.
-    std::vector<KernelPhase> plan;
-    for (std::size_t i = 0; i < ks.size(); ++i) {
-      if (ks[i] > 0) plan.push_back({i, static_cast<std::size_t>(ks[i])});
-    }
-    plan.push_back({ks.size(), kUnbounded});
-    out->plans = {std::move(plan)};
-    return nullptr;
-  }
-  if (type == typeid(PairRotationScheduler)) {
-    const std::vector<std::optional<int>>& ks =
-        static_cast<const PairRotationScheduler&>(scheduler).ks();
-    if (num_apps != 2 * ks.size()) {
-      return "PairRotationScheduler app count must be 2 * pairs";
-    }
-    // Rotation r picks pair r % P; pairs without a k alternate their lead
-    // across rotations via (r / P) % 2, so the whole cycle has period 2P.
-    const std::size_t pairs = ks.size();
-    out->plans.resize(2 * pairs);
-    for (std::size_t r = 0; r < 2 * pairs; ++r) {
-      const std::size_t pair = r % pairs;
-      const std::size_t lw = 2 * pair;
-      const std::size_t hw = lw + 1;
-      std::vector<KernelPhase>& plan = out->plans[r];
-      if (!ks[pair]) {
-        plan = {KernelPhase{(r / pairs) % 2 == 0 ? lw : hw, kUnbounded}};
-      } else if (*ks[pair] == 0) {
-        plan = {KernelPhase{hw, kUnbounded}};
-      } else {
-        plan = {KernelPhase{lw, static_cast<std::size_t>(*ks[pair])},
-                KernelPhase{hw, kUnbounded}};
-      }
-    }
-    return nullptr;
-  }
-  return "scheduler has no flat phase-plan form";
-}
-
-/// Eligibility rules + plan construction in one pass (the plan is the last
-/// and most expensive rule, so the engine's per-repetition dispatch builds
-/// it exactly once). Returns nullptr and fills `*out` when eligible.
-const char* check_and_plan(const EngineConfig& config,
-                           const std::vector<SimJob>& jobs,
-                           const Scheduler& scheduler, const AlarmSource* alarms,
-                           FlatPlan* out) {
-  if (config.restart_cost != 0.0) return "restart cost is not free";
-  if (config.switch_cost != 0.0) return "switch cost is not free";
-  if (alarms != nullptr) return "an alarm source is armed";
-  if (jobs.empty()) return "no jobs";
-  for (const SimJob& job : jobs) {
-    if (job.schedule == nullptr) return "job has no interval schedule";
-    if (!job.schedule->period()) return "job schedule is not periodic";
-  }
-  return build_plan(jobs.size(), scheduler, out);
-}
 
 /// Hands one event to the sink — the event loop's `emit`, field for field
 /// (Event::rep stays 0; campaign merges stamp it).
@@ -141,7 +32,7 @@ void emit(obs::EventSink* sink, obs::EventKind kind, Seconds time,
 /// emits it, from the same doubles; without it no emit code is compiled in.
 template <bool kNarrate>
 SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
-                   const Scheduler& scheduler, const FlatPlan& flat,
+                   const Scheduler& scheduler, const PhasePlan& flat,
                    const FailureTrace& trace,
                    [[maybe_unused]] obs::EventSink* sink) {
   SHIRAZ_REQUIRE(trace.horizon() >= config.t_total,
@@ -153,7 +44,7 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
   }
   scheduler.reset();  // the engine contract; eligible policies are stateless
 
-  const std::size_t cycle = flat.plans.size();
+  const std::size_t cycle = flat.size();
 
   // Per-app constants, hoisted once (structure-of-arrays view of the jobs).
   const std::size_t napps = jobs.size();
@@ -183,7 +74,7 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
   // advance by exactly one per gap.
   std::size_t plan_idx = 0;
   for (;;) {
-    const std::vector<KernelPhase>& plan = flat.plans[plan_idx];
+    const std::vector<PlanPhase>& plan = flat[plan_idx];
     std::size_t phase = 0;
     std::size_t ai = plan[0].app;
     Seconds tau = taus[ai];
@@ -251,50 +142,29 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
   }
 }
 
-/// Dispatches on narration once per repetition, outside the hot loop.
-SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
-                   const Scheduler& scheduler, const FlatPlan& flat,
-                   const FailureTrace& trace, obs::EventSink* sink) {
-  return sink != nullptr
-             ? run_flat<true>(config, jobs, scheduler, flat, trace, sink)
-             : run_flat<false>(config, jobs, scheduler, flat, trace, nullptr);
-}
-
 }  // namespace
 
-KernelEligibility flat_kernel_eligibility(const EngineConfig& config,
-                                          const std::vector<SimJob>& jobs,
-                                          const Scheduler& scheduler,
-                                          const AlarmSource* alarms) {
-  FlatPlan plan;
-  if (const char* reason =
-          check_and_plan(config, jobs, scheduler, alarms, &plan)) {
-    return KernelEligibility{false, reason};
-  }
-  return KernelEligibility{true, ""};
-}
-
-SimResult flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
-                      const Scheduler& scheduler, const FailureTrace& trace) {
-  FlatPlan flat;
-  const char* reason = check_and_plan(config, jobs, scheduler, nullptr, &flat);
-  SHIRAZ_REQUIRE(reason == nullptr,
-                 std::string("flat_replay on an ineligible configuration: ") +
-                     reason);
-  return run_flat(config, jobs, scheduler, flat, trace, config.sink);
-}
-
-bool try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
-                     const Scheduler& scheduler, const AlarmSource* alarms,
-                     obs::EventSink* sink, const FailureTrace& trace,
-                     SimResult* out) {
+const char* try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
+                            const Scheduler& scheduler, const AlarmSource* alarms,
+                            obs::EventSink* sink, const FailureTrace& trace,
+                            SimResult* out) {
   SHIRAZ_REQUIRE(out != nullptr, "try_flat_replay needs an output slot");
-  FlatPlan flat;
-  if (check_and_plan(config, jobs, scheduler, alarms, &flat) != nullptr) {
-    return false;
+  if (config.restart_cost != 0.0) return "restart cost is not free";
+  if (config.switch_cost != 0.0) return "switch cost is not free";
+  if (alarms != nullptr) return "an alarm source is armed";
+  if (jobs.empty()) return "no jobs";
+  for (const SimJob& job : jobs) {
+    if (job.schedule == nullptr) return "job has no interval schedule";
+    if (!job.schedule->period()) return "job schedule is not periodic";
   }
-  *out = run_flat(config, jobs, scheduler, flat, trace, sink);
-  return true;
+  // The plan is the last and most expensive rule, built once per repetition.
+  PhasePlan flat;
+  if (const char* reason = scheduler.flat_plan(jobs.size(), &flat)) return reason;
+  // Narration is dispatched once per repetition, outside the hot loop.
+  *out = sink != nullptr
+             ? run_flat<true>(config, jobs, scheduler, flat, trace, sink)
+             : run_flat<false>(config, jobs, scheduler, flat, trace, nullptr);
+  return nullptr;
 }
 
 void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,

@@ -2,9 +2,9 @@
 //
 // For closed-form-eligible configurations — free restarts and switches,
 // periodic schedules, no alarm source, and a scheduler whose per-gap
-// behavior is a fixed phase plan — a campaign over a materialized
-// FailureTrace is fully determined by the trace's gap/prefix-sum arrays.
-// flat_replay() walks those arrays directly: no virtual next_interval per
+// behavior is a fixed phase plan (Scheduler::flat_plan) — a campaign over a
+// materialized FailureTrace is fully determined by the trace's prefix-sum
+// array. The kernel walks that array directly: no virtual next_interval per
 // segment, no SchedContext construction, no per-gap checkpoint-count
 // vectors — just the engine's three comparisons and its accumulator
 // additions per segment.
@@ -18,8 +18,9 @@
 // FailureTrace::fail_times() — prefix sums built with the additions a live
 // run performs. The result therefore equals Engine::replay bit for bit
 // (enforced by tests/sim/kernel_test.cpp and micro_engine_throughput
-// --check); Engine::run_impl dispatches here automatically when
-// EngineConfig::flat_kernel is set and eligibility holds.
+// --check); Engine::run_impl dispatches every replay here when
+// EngineConfig::flat_kernel is set, and runs the event loop when
+// try_flat_replay returns a reason.
 //
 // Narration contract: an event sink does not make a run ineligible. With a
 // sink armed the kernel emits exactly the event loop's stream for the same
@@ -39,51 +40,27 @@
 
 namespace shiraz::sim {
 
-/// Why a configuration can(not) take the flat kernel. `reason` points at a
-/// static string ("" when eligible) so the check is allocation-free — it runs
-/// once per replayed repetition.
-struct KernelEligibility {
-  bool eligible = false;
-  const char* reason = "";
-
-  explicit operator bool() const { return eligible; }
-};
-
-/// Checks every eligibility rule the kernel relies on:
+/// The engine's dispatch entry. Checks the rules the kernel relies on, in
+/// order, and returns the static reason of the first that fails, leaving
+/// `*out` untouched so the caller falls back to the event loop:
 ///  * config models free restarts and switches (restart_cost == switch_cost
 ///    == 0);
 ///  * no alarm source (pass the call-site value);
-///  * every job schedule is periodic (IntervalSchedule::period() non-null);
-///  * the scheduler is exactly (typeid, not is-a — subclasses may override
-///    hooks) AlternateAtFailure, ShirazPairScheduler, MultiSwitchScheduler,
-///    or PairRotationScheduler, with an app count the policy accepts.
-/// Anything else falls back to the event loop, which preserves both behavior
-/// and error messages (e.g. a pair policy given three apps still throws the
-/// policy's own InvalidArgument). Event sinks play no part: the kernel
-/// narrates (see the narration contract above).
-KernelEligibility flat_kernel_eligibility(const EngineConfig& config,
-                                          const std::vector<SimJob>& jobs,
-                                          const Scheduler& scheduler,
-                                          const AlarmSource* alarms);
-
-/// Replays one repetition through the flat kernel, narrating into
-/// `config.sink` when it is set. Requires eligibility (see
-/// flat_kernel_eligibility) and a trace whose horizon covers the config's;
-/// returns — and narrates — exactly what Engine::replay does for the same
-/// inputs.
-SimResult flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
-                      const Scheduler& scheduler, const FailureTrace& trace);
-
-/// The engine's dispatch entry: checks eligibility and, when it holds, runs
-/// the kernel into `*out` in one pass — the phase plan is built exactly once
-/// per repetition (flat_kernel_eligibility followed by flat_replay would
-/// build it twice) — narrating into `sink` when it is non-null. Returns
-/// false untouched when ineligible, so the caller falls back to the event
-/// loop.
-bool try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
-                     const Scheduler& scheduler, const AlarmSource* alarms,
-                     obs::EventSink* sink, const FailureTrace& trace,
-                     SimResult* out);
+///  * at least one job, and every job schedule is periodic
+///    (IntervalSchedule::period() non-null);
+///  * the scheduler has a phase plan for jobs.size() apps
+///    (Scheduler::flat_plan's reason otherwise), built once per call.
+/// The event loop then preserves both behavior and error messages (e.g. a
+/// pair policy given three apps still throws the policy's own
+/// InvalidArgument). Event sinks play no part (see the narration contract
+/// above). When every rule holds, replays one repetition of `trace` — whose
+/// horizon must cover the config's — into `*out`, narrating into `sink` when
+/// it is non-null, and returns nullptr: exactly what Engine::replay returns
+/// and narrates for the same inputs.
+const char* try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
+                            const Scheduler& scheduler, const AlarmSource* alarms,
+                            obs::EventSink* sink, const FailureTrace& trace,
+                            SimResult* out);
 
 /// One repetition of the shared-prefix k sweep on the kernel: the flat
 /// counterpart of sim/optimizer.cpp's sweep_one_rep for periodic schedules,

@@ -1,6 +1,7 @@
 #include "sim/scheduler.h"
 
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 
@@ -13,6 +14,15 @@ Decision AlternateAtFailure::on_gap_start(const SchedContext& ctx) const {
 
 Decision AlternateAtFailure::on_checkpoint(const SchedContext& ctx) const {
   return Decision::run(ctx.current);
+}
+
+const char* AlternateAtFailure::flat_plan(std::size_t num_apps, PhasePlan* out) const {
+  // Gap f runs app f % n until the next failure.
+  out->resize(num_apps);
+  for (std::size_t i = 0; i < num_apps; ++i) {
+    (*out)[i] = {PlanPhase{i, PlanPhase::kUnbounded}};
+  }
+  return nullptr;
 }
 
 ShirazPairScheduler::ShirazPairScheduler(int k) : k_(k) {
@@ -30,6 +40,18 @@ Decision ShirazPairScheduler::on_checkpoint(const SchedContext& ctx) const {
     return Decision::run(1);
   }
   return Decision::run(ctx.current);
+}
+
+const char* ShirazPairScheduler::flat_plan(std::size_t num_apps, PhasePlan* out) const {
+  if (num_apps != 2) return "ShirazPairScheduler needs exactly two apps";
+  out->resize(1);
+  if (k_ == 0) {
+    (*out)[0] = {PlanPhase{1, PlanPhase::kUnbounded}};
+  } else {
+    (*out)[0] = {PlanPhase{0, static_cast<std::size_t>(k_)},
+                 PlanPhase{1, PlanPhase::kUnbounded}};
+  }
+  return nullptr;
 }
 
 std::string ShirazPairScheduler::name() const {
@@ -108,6 +130,21 @@ Decision MultiSwitchScheduler::on_checkpoint(const SchedContext& ctx) const {
   return Decision::run(i);
 }
 
+const char* MultiSwitchScheduler::flat_plan(std::size_t num_apps, PhasePlan* out) const {
+  if (num_apps != ks_.size() + 1) {
+    return "MultiSwitchScheduler app count must be one more than its ks";
+  }
+  // Zero counts skip that app's turn (next_runnable); the last app always
+  // runs to the gap's end.
+  std::vector<PlanPhase> plan;
+  for (std::size_t i = 0; i < ks_.size(); ++i) {
+    if (ks_[i] > 0) plan.push_back({i, static_cast<std::size_t>(ks_[i])});
+  }
+  plan.push_back({ks_.size(), PlanPhase::kUnbounded});
+  *out = {std::move(plan)};
+  return nullptr;
+}
+
 PairRotationScheduler::PairRotationScheduler(std::vector<std::optional<int>> ks)
     : ks_(std::move(ks)) {
   SHIRAZ_REQUIRE(!ks_.empty(), "need at least one pair");
@@ -140,6 +177,32 @@ Decision PairRotationScheduler::on_checkpoint(const SchedContext& ctx) const {
     return Decision::run(hw);
   }
   return Decision::run(ctx.current);
+}
+
+const char* PairRotationScheduler::flat_plan(std::size_t num_apps, PhasePlan* out) const {
+  if (num_apps != 2 * ks_.size()) {
+    return "PairRotationScheduler app count must be 2 * pairs";
+  }
+  // Rotation r picks pair r % P; pairs without a k alternate their lead
+  // across rotations via (r / P) % 2, so the whole cycle has period 2P.
+  const std::size_t pairs = ks_.size();
+  out->resize(2 * pairs);
+  for (std::size_t r = 0; r < 2 * pairs; ++r) {
+    const std::size_t pair = r % pairs;
+    const std::size_t lw = 2 * pair;
+    const std::size_t hw = lw + 1;
+    const auto& k = ks_[pair];
+    std::vector<PlanPhase>& plan = (*out)[r];
+    if (!k) {
+      plan = {PlanPhase{(r / pairs) % 2 == 0 ? lw : hw, PlanPhase::kUnbounded}};
+    } else if (*k == 0) {
+      plan = {PlanPhase{hw, PlanPhase::kUnbounded}};
+    } else {
+      plan = {PlanPhase{lw, static_cast<std::size_t>(*k)},
+              PlanPhase{hw, PlanPhase::kUnbounded}};
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace shiraz::sim

@@ -8,10 +8,14 @@
 // checkpoint, the naive strategy switches at a wall-clock threshold (rounded
 // up to the next checkpoint boundary), and the multi-application scheme
 // rotates pairs at failures. The alarm hook powers the prediction-aware
-// policies in src/predict, which respond with proactive checkpoints.
+// policies in src/predict, which respond with proactive checkpoints. Policies
+// whose gaps depend only on the failure count also describe themselves as a
+// per-gap phase plan (flat_plan), which the flat replay kernel runs without
+// calling the hooks.
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -75,6 +79,24 @@ struct AlarmAction {
   static AlarmAction checkpoint_after(Seconds delay) { return {true, delay}; }
 };
 
+/// One phase of a gap's plan (see PhasePlan): run `app` until it completes
+/// `budget` checkpoints.
+struct PlanPhase {
+  /// Budget of a phase that runs until the gap ends.
+  static constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+
+  std::size_t app = 0;
+  std::size_t budget = kUnbounded;
+};
+
+/// A gap-local policy flattened for the flat replay kernel (sim/kernel.h):
+/// which apps run in a gap, in what order and for how many checkpoints
+/// depends only on the failure count at gap start, cycling with period
+/// size(). Entry `f % size()` governs the gap opened by failure number f
+/// (the campaign opens with f == 0); its phases run in order, and the last
+/// one's budget is PlanPhase::kUnbounded.
+using PhasePlan = std::vector<std::vector<PlanPhase>>;
+
 /// A scheduling policy. The engine calls reset() at the start of every run,
 /// so stateful policies (e.g. the adaptive online-estimating Shiraz variant)
 /// can be reused across Monte-Carlo repetitions; the policies in this header
@@ -108,6 +130,18 @@ class Scheduler {
   /// this header) return nullptr, meaning "share me freely across threads".
   virtual std::unique_ptr<Scheduler> clone() const { return nullptr; }
 
+  /// Writes the policy's per-gap phase plan for `num_apps` (>= 1) apps into
+  /// `*out` and returns nullptr, or returns a static reason why it has none;
+  /// the engine then runs the policy on the event loop, which raises the
+  /// policy's own error for an app count it rejects. Contract: an override
+  /// makes exactly the decisions its on_gap_start/on_checkpoint hooks make
+  /// (tests/sim/kernel_test.cpp holds the kernel to the hooks bit for bit),
+  /// names only apps below `num_apps`, and its class stays `final` — a
+  /// subclass could inherit the plan yet override the hooks.
+  virtual const char* flat_plan(std::size_t /*num_apps*/, PhasePlan* /*out*/) const {
+    return "scheduler has no flat phase-plan form";
+  }
+
   virtual std::string name() const = 0;
 };
 
@@ -117,6 +151,7 @@ class AlternateAtFailure final : public Scheduler {
  public:
   Decision on_gap_start(const SchedContext& ctx) const override;
   Decision on_checkpoint(const SchedContext& ctx) const override;
+  const char* flat_plan(std::size_t num_apps, PhasePlan* out) const override;
   std::string name() const override { return "AlternateAtFailure"; }
 };
 
@@ -130,6 +165,7 @@ class ShirazPairScheduler final : public Scheduler {
   int k() const { return k_; }
   Decision on_gap_start(const SchedContext& ctx) const override;
   Decision on_checkpoint(const SchedContext& ctx) const override;
+  const char* flat_plan(std::size_t num_apps, PhasePlan* out) const override;
   std::string name() const override;
 
  private:
@@ -189,9 +225,9 @@ class MultiSwitchScheduler final : public Scheduler {
   /// ks has one entry per app except the last (which always runs to failure).
   explicit MultiSwitchScheduler(std::vector<int> ks);
 
-  const std::vector<int>& ks() const { return ks_; }
   Decision on_gap_start(const SchedContext& ctx) const override;
   Decision on_checkpoint(const SchedContext& ctx) const override;
+  const char* flat_plan(std::size_t num_apps, PhasePlan* out) const override;
   std::string name() const override { return "MultiSwitch"; }
 
  private:
@@ -213,9 +249,9 @@ class PairRotationScheduler final : public Scheduler {
   /// marks a pair that falls back to baseline alternation.
   explicit PairRotationScheduler(std::vector<std::optional<int>> ks);
 
-  const std::vector<std::optional<int>>& ks() const { return ks_; }
   Decision on_gap_start(const SchedContext& ctx) const override;
   Decision on_checkpoint(const SchedContext& ctx) const override;
+  const char* flat_plan(std::size_t num_apps, PhasePlan* out) const override;
   std::string name() const override { return "PairRotation"; }
 
  private:

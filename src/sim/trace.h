@@ -12,9 +12,11 @@
 // campaign over the same seed replays plain arrays instead.
 //
 // Replay is bit-identical to live sampling (tests/sim/trace_replay_test.cpp):
-// the trace stores gaps, the engine reconstructs failure times with the same
-// `now + gap` additions it performs live, and alarm RNGs fork from the seed —
-// not from generator state — so prediction runs replay unchanged too.
+// the trace caches the failure times as prefix sums of its gaps, built with
+// the same `now + gap` additions a live run performs; the event loop, the
+// flat kernel and the pair sweep all read those sums (fail_time() /
+// fail_times()); and alarm RNGs fork from the seed — not from generator
+// state — so prediction runs replay unchanged too.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +55,7 @@ class FailureTrace {
  public:
   FailureTrace(std::vector<Seconds> gaps, Seconds horizon);
 
-  /// The i-th gap; replay cursors walk this in order.
+  /// The i-th gap. Replays read the prefix sums (fail_time()), not this.
   Seconds gap(std::size_t i) const {
     SHIRAZ_REQUIRE(i < gaps_.size(), "failure trace exhausted before the horizon");
     return gaps_[i];

@@ -6,6 +6,7 @@
 // with identical behavior. Bit-identity here means EXPECT_EQ on doubles: the
 // kernel is an optimization, never an approximation.
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -320,16 +321,19 @@ TEST(FlatKernel, FlatReplayMatchesEngineReplay) {
     const PolicyCase c = make_policy(kind, hours(5.0));
     for (std::size_t r = 0; r < kReps; ++r) {
       const SimResult via_loop = loop.replay(c.jobs, *c.scheduler, traces.trace(r));
-      const SimResult via_kernel =
-          flat_replay(loop.config(), c.jobs, *c.scheduler, traces.trace(r));
+      SimResult via_kernel;
+      ASSERT_STREQ(try_flat_replay(loop.config(), c.jobs, *c.scheduler, nullptr,
+                                   nullptr, traces.trace(r), &via_kernel),
+                   nullptr);
       expect_identical(via_kernel, via_loop);
     }
   }
 }
 
 TEST(FlatKernel, FlatReplayNarratesIntoTheConfigSink) {
-  // flat_replay narrates into config.sink exactly as Engine::replay does on
-  // the event loop, run by run.
+  // The kernel narrates into the sink the engine hands it (EngineConfig::sink
+  // for a single replay) exactly as Engine::replay does on the event loop,
+  // run by run.
   const Engine loop = make_engine(false);
   const TraceStore traces(loop, kSeed);
   const PolicyCase c = make_policy(PolicyKind::kShiraz, hours(5.0));
@@ -337,8 +341,10 @@ TEST(FlatKernel, FlatReplayNarratesIntoTheConfigSink) {
     obs::EventRecorder kernel_events;
     EngineConfig cfg = loop.config();
     cfg.sink = &kernel_events;
-    const SimResult via_kernel =
-        flat_replay(cfg, c.jobs, *c.scheduler, traces.trace(r));
+    SimResult via_kernel;
+    ASSERT_STREQ(try_flat_replay(cfg, c.jobs, *c.scheduler, nullptr, cfg.sink,
+                                 traces.trace(r), &via_kernel),
+                 nullptr);
 
     obs::EventRecorder loop_events;
     cfg.sink = &loop_events;
@@ -356,36 +362,57 @@ TEST(FlatKernel, MultiSwitchAndPairRotationFlatten) {
   const Engine flat = make_engine(true);
   const Engine loop = make_engine(false);
   const TraceStore traces(loop, kSeed);
-  CampaignOptions opts;
-  opts.traces = &traces;
 
-  // Three-app multi-switch chain, including a zero count (skipped turn).
-  {
-    std::vector<SimJob> jobs{SimJob::at_oci("a", 12.0, hours(5.0)),
-                             SimJob::at_oci("b", 120.0, hours(5.0)),
-                             SimJob::at_oci("c", 1200.0, hours(5.0))};
-    const MultiSwitchScheduler sched(std::vector<int>{9, 0});
-    expect_identical(flat.run_many(jobs, sched, kReps, kSeed, opts),
-                     loop.run_many(jobs, sched, kReps, kSeed, opts));
+  // Each plan shape must run on the kernel — the registry rules out a silent
+  // fallback, which would pass the equality — and equal the event loop bit
+  // for bit.
+  auto expect_flattens = [&](const std::vector<SimJob>& jobs,
+                             const Scheduler& sched) {
+    SCOPED_TRACE(sched.name() + " over " + std::to_string(jobs.size()) + " apps");
+    obs::MetricsRegistry registry;
+    CampaignOptions opts;
+    opts.traces = &traces;
+    const SimResult via_loop = loop.run_many(jobs, sched, kReps, kSeed, opts);
+    opts.metrics = &registry;
+    expect_identical(flat.run_many(jobs, sched, kReps, kSeed, opts), via_loop);
+    EXPECT_EQ(registry.counter("shiraz_sim_kernel_replays_total").value(), kReps);
+  };
+  auto jobs_of = [](std::initializer_list<std::pair<const char*, Seconds>> apps) {
+    std::vector<SimJob> jobs;
+    for (const auto& [name, delta] : apps) {
+      jobs.push_back(SimJob::at_oci(name, delta, hours(5.0)));
+    }
+    return jobs;
+  };
+  const std::vector<SimJob> three = jobs_of({{"a", 12.0}, {"b", 120.0}, {"c", 1200.0}});
+
+  // Multi-switch chains, with zero counts (skipped turns) first, last, on
+  // every switching app, and between two runnable ones.
+  for (const std::vector<int>& ks : {std::vector<int>{9, 0}, {0, 9}, {0, 0}}) {
+    expect_flattens(three, MultiSwitchScheduler(ks));
   }
-  // Two rotating pairs: one solved k, one k-less (lead-alternating), plus a
-  // k == 0 Shiraz pair (heavy only) as its own case.
-  {
-    std::vector<SimJob> jobs{SimJob::at_oci("lw0", 12.0, hours(5.0)),
-                             SimJob::at_oci("hw0", 1200.0, hours(5.0)),
-                             SimJob::at_oci("lw1", 30.0, hours(5.0)),
-                             SimJob::at_oci("hw1", 3000.0, hours(5.0))};
-    const PairRotationScheduler sched(
-        std::vector<std::optional<int>>{14, std::nullopt});
-    expect_identical(flat.run_many(jobs, sched, kReps, kSeed, opts),
-                     loop.run_many(jobs, sched, kReps, kSeed, opts));
-  }
-  {
-    const PolicyCase c = make_policy(PolicyKind::kShiraz, hours(5.0));
-    const ShirazPairScheduler k0(0);
-    expect_identical(flat.run_many(c.jobs, k0, kReps, kSeed, opts),
-                     loop.run_many(c.jobs, k0, kReps, kSeed, opts));
-  }
+  expect_flattens(
+      jobs_of({{"a", 12.0}, {"b", 60.0}, {"c", 120.0}, {"d", 1200.0}}),
+      MultiSwitchScheduler(std::vector<int>{3, 0, 5}));
+
+  // Rotating pairs: a solved k, a k-less pair (lead-alternating) and, over
+  // three pairs (a cycle of 6 plans), a k == 0 pair (heavy only).
+  expect_flattens(
+      jobs_of({{"lw0", 12.0}, {"hw0", 1200.0}, {"lw1", 30.0}, {"hw1", 3000.0}}),
+      PairRotationScheduler(std::vector<std::optional<int>>{14, std::nullopt}));
+  expect_flattens(jobs_of({{"lw0", 12.0},
+                           {"hw0", 1200.0},
+                           {"lw1", 30.0},
+                           {"hw1", 3000.0},
+                           {"lw2", 6.0},
+                           {"hw2", 600.0}}),
+                  PairRotationScheduler(
+                      std::vector<std::optional<int>>{14, 0, std::nullopt}));
+
+  // A k == 0 Shiraz pair (heavy only), and the baseline over three apps.
+  expect_flattens(make_policy(PolicyKind::kShiraz, hours(5.0)).jobs,
+                  ShirazPairScheduler(0));
+  expect_flattens(three, AlternateAtFailure());
 }
 
 /// The kernel's pair sweep (lockstep heavy-weight tails, one iterated-sum
@@ -473,63 +500,66 @@ TEST(FlatKernel, EligibilityRules) {
   const PolicyCase c = make_policy(PolicyKind::kShiraz, hours(5.0));
   EngineConfig cfg;
   cfg.t_total = hours(200.0);
+  const TraceStore traces(make_engine(false), kSeed);
 
+  // The engine's dispatch entry: nullptr when the kernel ran, else the
+  // static reason of the first rule that failed.
   auto reason = [&](const EngineConfig& config, const std::vector<SimJob>& jobs,
                     const Scheduler& sched, const AlarmSource* alarms = nullptr) {
-    const KernelEligibility e = flat_kernel_eligibility(config, jobs, sched, alarms);
-    EXPECT_FALSE(e.eligible);
-    return std::string(e.reason);
+    SimResult out;
+    return try_flat_replay(config, jobs, sched, alarms, config.sink,
+                           traces.trace(0), &out);
   };
 
-  EXPECT_TRUE(flat_kernel_eligibility(cfg, c.jobs, *c.scheduler, nullptr).eligible);
+  EXPECT_STREQ(reason(cfg, c.jobs, *c.scheduler), nullptr);
 
   EngineConfig restart = cfg;
   restart.restart_cost = 30.0;
-  EXPECT_EQ(reason(restart, c.jobs, *c.scheduler), "restart cost is not free");
+  EXPECT_STREQ(reason(restart, c.jobs, *c.scheduler), "restart cost is not free");
 
   EngineConfig switching = cfg;
   switching.switch_cost = 10.0;
-  EXPECT_EQ(reason(switching, c.jobs, *c.scheduler), "switch cost is not free");
+  EXPECT_STREQ(reason(switching, c.jobs, *c.scheduler), "switch cost is not free");
 
   // An armed sink keeps the run on the kernel, which narrates it.
   obs::EventRecorder recorder;
   EngineConfig traced = cfg;
   traced.sink = &recorder;
-  EXPECT_TRUE(flat_kernel_eligibility(traced, c.jobs, *c.scheduler, nullptr)
-                  .eligible);
+  EXPECT_STREQ(reason(traced, c.jobs, *c.scheduler), nullptr);
+  EXPECT_FALSE(recorder.events().empty());
 
   const predict::NullPredictor no_alarms;
-  EXPECT_EQ(reason(cfg, c.jobs, *c.scheduler, &no_alarms),
-            "an alarm source is armed");
+  EXPECT_STREQ(reason(cfg, c.jobs, *c.scheduler, &no_alarms),
+               "an alarm source is armed");
 
-  EXPECT_EQ(reason(cfg, {}, *c.scheduler), "no jobs");
+  EXPECT_STREQ(reason(cfg, {}, *c.scheduler), "no jobs");
 
   // Lazy Checkpointing is aperiodic: period() is nullopt by contract.
   std::vector<SimJob> lazy_jobs{SimJob::lazy("lazy", kDeltaLw, hours(5.0), 0.6),
                                 SimJob::at_oci("hw", kDeltaHw, hours(5.0))};
-  EXPECT_EQ(reason(cfg, lazy_jobs, *c.scheduler),
-            "job schedule is not periodic");
+  EXPECT_STREQ(reason(cfg, lazy_jobs, *c.scheduler),
+               "job schedule is not periodic");
+
+  // Policies with no phase plan: FirstApp idles after its count and the
+  // naive switch depends on elapsed time, not on checkpoint counts.
+  const char* const no_plan = "scheduler has no flat phase-plan form";
+  EXPECT_STREQ(reason(cfg, c.jobs, FirstAppScheduler(5)), no_plan);
+  EXPECT_STREQ(reason(cfg, c.jobs, NaiveTimeSwitchScheduler(hours(2.5))), no_plan);
 
   // Pair policies with the wrong app count fall back (and the event loop
   // then raises the policy's own error, tested below).
   std::vector<SimJob> three{SimJob::at_oci("a", 12.0, hours(5.0)),
                             SimJob::at_oci("b", 120.0, hours(5.0)),
                             SimJob::at_oci("c", 1200.0, hours(5.0))};
-  EXPECT_EQ(reason(cfg, three, *c.scheduler),
-            "ShirazPairScheduler needs exactly two apps");
+  EXPECT_STREQ(reason(cfg, three, *c.scheduler),
+               "ShirazPairScheduler needs exactly two apps");
   const MultiSwitchScheduler multi(std::vector<int>{3, 4});
-  EXPECT_EQ(reason(cfg, c.jobs, multi),
-            "MultiSwitchScheduler app count must be one more than its ks");
-}
-
-TEST(FlatKernel, FlatReplayThrowsOnIneligibleConfiguration) {
-  const PolicyCase c = make_policy(PolicyKind::kShiraz, hours(5.0));
-  const Engine loop = make_engine(false);
-  const TraceStore traces(loop, kSeed);
-  EngineConfig cfg = loop.config();
-  cfg.switch_cost = 10.0;
-  EXPECT_THROW(flat_replay(cfg, c.jobs, *c.scheduler, traces.trace(0)),
-               InvalidArgument);
+  EXPECT_STREQ(reason(cfg, c.jobs, multi),
+               "MultiSwitchScheduler app count must be one more than its ks");
+  const PairRotationScheduler rotation(
+      std::vector<std::optional<int>>{14, std::nullopt});
+  EXPECT_STREQ(reason(cfg, three, rotation),
+               "PairRotationScheduler app count must be 2 * pairs");
 }
 
 TEST(FlatKernel, IneligibleConfigurationsFallBackToTheEventLoop) {
