@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -80,6 +81,18 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
     Seconds tau = taus[ai];
     Seconds delta = deltas[ai];
     AppMetrics* am = &res.apps[ai];
+    // The running app's useful/io/checkpoints live in locals, written back at
+    // a failure, at the horizon and at an app change: through `am` every
+    // segment's adds would go to memory (a double store may alias the failure
+    // times, a size_t store the plan's budgets). Same doubles, same order.
+    Seconds useful = am->useful;
+    Seconds io = am->io;
+    std::size_t checkpoints = am->checkpoints;
+    auto flush = [&] {
+      am->useful = useful;
+      am->io = io;
+      am->checkpoints = checkpoints;
+    };
     std::size_t done_in_phase = 0;
     for (;;) {
       // The engine's exact segment resolution: compute [now, write_start),
@@ -87,6 +100,7 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
       const Seconds write_start = now + tau;
       const Seconds seg_end = write_start + delta;
       if (horizon <= seg_end && horizon <= next_fail) {
+        flush();
         res.truncated += horizon - now;
         if constexpr (kNarrate) {
           if (horizon > write_start) {
@@ -97,6 +111,7 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
         return res;  // `now = horizon` in the engine; nothing reads it after
       }
       if (next_fail < seg_end) {
+        flush();
         am->lost += next_fail - now;
         if constexpr (kNarrate) {
           if (next_fail > write_start) {
@@ -112,9 +127,9 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
         if (++plan_idx == cycle) plan_idx = 0;
         break;  // next gap: re-plan from the new failure count
       }
-      am->useful += tau;
-      am->io += delta;
-      ++am->checkpoints;
+      useful += tau;
+      io += delta;
+      ++checkpoints;
       if constexpr (kNarrate) {
         emit(sink, obs::EventKind::kCheckpointBegin, write_start, 0.0, ai);
         emit(sink, obs::EventKind::kCheckpointCommit, seg_end, delta, ai, tau);
@@ -124,6 +139,7 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
         ++phase;
         const std::size_t next_app = plan[phase].app;
         if (next_app != ai) {
+          flush();
           ++res.switches;  // free hand-off (switch_cost 0)
           if constexpr (kNarrate) {
             // The loop's switch span is `switch_end - now` with
@@ -131,11 +147,14 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
             emit(sink, obs::EventKind::kAppSwitch, now, 0.0, next_app,
                  static_cast<double>(ai));
           }
+          ai = next_app;
+          tau = taus[ai];
+          delta = deltas[ai];
+          am = &res.apps[ai];
+          useful = am->useful;
+          io = am->io;
+          checkpoints = am->checkpoints;
         }
-        ai = next_app;
-        tau = taus[ai];
-        delta = deltas[ai];
-        am = &res.apps[ai];
         done_in_phase = 0;
       }
     }
@@ -179,19 +198,24 @@ void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
   const int k_hi = k_lo + static_cast<int>(n) - 1;
   const std::size_t k_lo_sz = static_cast<std::size_t>(k_lo);
   const std::size_t k_hi_sz = static_cast<std::size_t>(k_hi);
+  // Heavy-weight lanes advance in blocks of this many (see the lane step).
+  constexpr std::size_t kLaneBlock = 4;
   // Completed light-weight segment end times of the current gap, shared by
   // every candidate that has not switched yet (the intervals are all tau_lw).
   // A flat scratch buffer indexed by a count — the prefix loop is the hottest
   // code in the sweep and a push_back capacity check per segment shows up.
-  std::vector<Seconds> seg_end_buf(k_hi_sz);
+  // The kLaneBlock - 1 entries past k_hi pad the last lane block.
+  std::vector<Seconds> seg_end_buf(k_hi_sz + kLaneBlock - 1, 0.0);
   Seconds* const seg_end_at = seg_end_buf.data();
 
-  // The counts accumulate in a private buffer and are copied out once: the
-  // caller's outputs for neighbouring repetitions may share a cache line,
-  // and another worker may be filling them at the same time.
-  std::vector<std::size_t> counts(2 * n, 0);
-  std::size_t* const lw_segments = counts.data();
-  std::size_t* const hw_segments = lw_segments + n;
+  // gaps_with[c] counts the gaps whose light-weight prefix completed c
+  // segments (c <= k_hi); the light-weight counts are derived from it once,
+  // after the last gap. The heavy-weight counts accumulate in a private
+  // buffer and are copied out once: the caller's outputs for neighbouring
+  // repetitions may share a cache line, and another worker may be filling
+  // them at the same time.
+  std::vector<std::size_t> gaps_with(k_hi_sz + 1, 0);
+  std::vector<std::size_t> hw_segments(n, 0);
 
   const Seconds* fail_times = trace.fail_times().data();
   std::size_t cursor = 0;
@@ -209,19 +233,14 @@ void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
       seg_end_at[completed++] = seg_end;
       now = seg_end;
     }
+    ++gaps_with[completed];
 
-    // Candidates split into two branch-free ranges: k <= completed switched
-    // (credit k, walk the heavy-weight tail); the rest were still
-    // light-weight when the gap ended (credit every completed segment).
-    const std::size_t switched =
-        completed < k_lo_sz ? 0 : std::min(n, completed - k_lo_sz + 1);
-    for (std::size_t i = 0; i < switched; ++i) lw_segments[i] += k_lo_sz + i;
-    for (std::size_t i = switched; i < n; ++i) lw_segments[i] += completed;
-
-    // Heavy-weight tails in lockstep. Lane i is candidate k_lo + i's clock,
-    // starting at its switch time seg_end_at[k - 1] (in place: the prefix is
-    // done with the buffer). A step advances every active lane by the
-    // per-candidate loop's own expression, then pops the lanes that stop.
+    // Heavy-weight tails in lockstep, one per candidate k <= completed (at
+    // most n: completed <= k_hi); the rest were still light-weight when the
+    // gap ended. Lane i is candidate k_lo + i's clock, starting at its switch
+    // time seg_end_at[k - 1] (in place: the prefix is done with the buffer).
+    // A step advances every active lane by the per-candidate loop's own
+    // expression, then pops the lanes that stop.
     // Popping from the top is exact: the lanes start in non-decreasing order;
     // round-to-nearest addition is monotone (x <= y implies fl(x + c) <=
     // fl(y + c)), so they stay ordered; and for this gap's next_fail and
@@ -230,13 +249,26 @@ void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
     // as a serial walk and stops at the same step, so a popped lane's count
     // (the steps it completed) is the serial loop's; what changes is that the
     // adds no longer form one dependent chain per candidate.
+    //
+    // The step runs in whole blocks of kLaneBlock lanes, the last one rounded
+    // up, so GCC packs each block's independent adds (addpd); every element
+    // still computes its own `lane + tau_hw + delta_hw`. The lanes a block
+    // carries past `active` are dead: popped earlier (their counts are in),
+    // not switched this gap, or padding past k_hi. No pop reads them, and a
+    // later gap steps a lane only after its prefix wrote a fresh switch time
+    // there.
     Seconds* const lane = seg_end_at + (k_lo_sz - 1);
     auto stops = [&](Seconds seg_end) {
       return (horizon <= seg_end && horizon <= next_fail) || next_fail < seg_end;
     };
-    std::size_t active = switched;
+    std::size_t active = completed < k_lo_sz ? 0 : completed - k_lo_sz + 1;
     for (std::size_t steps = 0; active > 0; ++steps) {
-      for (std::size_t i = 0; i < active; ++i) lane[i] = lane[i] + tau_hw + delta_hw;
+      for (std::size_t i = 0; i < active; i += kLaneBlock) {
+        Seconds* const block = lane + i;
+        for (std::size_t j = 0; j < kLaneBlock; ++j) {
+          block[j] = block[j] + tau_hw + delta_hw;
+        }
+      }
       while (active > 0 && stops(lane[active - 1])) hw_segments[--active] += steps;
     }
 
@@ -245,8 +277,19 @@ void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
     next_fail = fail_times[cursor++];
   }
 
-  std::copy(lw_segments, lw_segments + n, lw_out.begin());
-  std::copy(hw_segments, hw_segments + n, hw_out.begin());
+  // Candidate k earns min(k, c) light-weight segments in a gap whose prefix
+  // completed c, so over the repetition it earns
+  //   sum_{c < k} c * gaps_with[c]  +  k * #{gaps with c >= k},
+  // the per-gap sum regrouped in integers.
+  std::size_t credit_below = 0;  // sum_{c < k} c * gaps_with[c]
+  std::size_t gaps_at_least = std::accumulate(gaps_with.begin(), gaps_with.end(),
+                                              std::size_t{0});  // c >= k
+  for (std::size_t k = 1; k <= k_hi_sz; ++k) {
+    credit_below += (k - 1) * gaps_with[k - 1];
+    gaps_at_least -= gaps_with[k - 1];
+    if (k >= k_lo_sz) lw_out[k - k_lo_sz] = credit_below + k * gaps_at_least;
+  }
+  std::copy(hw_segments.begin(), hw_segments.end(), hw_out.begin());
 }
 
 }  // namespace shiraz::sim

@@ -74,7 +74,9 @@ const char* try_flat_replay(const EngineConfig& config, const std::vector<SimJob
 /// iterated-sum table, built once per sweep by replay_pair_sweep) is the
 /// engine's useful work bit for bit — the hoisted period equals every
 /// next_interval return by the period() contract. The heavy-weight tails of
-/// all switched candidates advance in lockstep (DESIGN.md §10).
+/// all switched candidates advance in lockstep, four lanes per block; the
+/// light-weight counts come from a per-repetition histogram of how many
+/// segments each gap's shared prefix completed (DESIGN.md §10).
 void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
                          Seconds delta_hw, int k_lo, Seconds horizon,
                          const FailureTrace& trace,

@@ -79,8 +79,9 @@ struct SweepUseful {
 /// app identically until its k-th checkpoint, so each gap's light-weight
 /// prefix is simulated once and shared across the range; only the
 /// heavy-weight tails are per-candidate (on the flat kernel they advance in
-/// lockstep, see sim/kernel.h). Requires the free-restart,
-/// free-switch engine configuration the paper's model assumes
+/// lockstep, four candidates per block, and the light-weight credit comes
+/// from a per-repetition histogram; see sim/kernel.h). Requires the
+/// free-restart, free-switch engine configuration the paper's model assumes
 /// (restart_cost == 0 and switch_cost == 0) and k_lo >= 1.
 std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& lw,
                                            const SimJob& hw, int k_lo, int k_hi,

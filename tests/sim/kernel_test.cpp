@@ -415,13 +415,17 @@ TEST(FlatKernel, MultiSwitchAndPairRotationFlatten) {
   expect_flattens(three, AlternateAtFailure());
 }
 
-/// The kernel's pair sweep (lockstep heavy-weight tails, one iterated-sum
-/// table per call) against the event loop's sweep_one_rep, bit for bit, at
-/// workers 1 and 3, over k ranges [1, 64], [20, 32] and [5, 5].
+/// The kernel's pair sweep (heavy-weight lanes in blocks of four, light-weight
+/// credit from a per-repetition histogram, one iterated-sum table per call)
+/// against the event loop's sweep_one_rep, bit for bit, at workers 1 and 3.
+/// The k ranges cover a single candidate, partial last lane blocks (n = 2, 7
+/// and 11), gaps whose prefix completes fewer than k_lo segments, and k_hi
+/// above the benchmark's 64.
 void expect_sweep_matches_event_loop(const Engine& flat, const Engine& loop,
                                      const SimJob& lw, const SimJob& hw,
                                      const TraceStore& traces) {
-  for (const auto& [k_lo, k_hi] : {std::pair{1, 64}, {20, 32}, {5, 5}}) {
+  for (const auto& [k_lo, k_hi] : {std::pair{1, 64}, {20, 32}, {5, 5}, {2, 3},
+                                   {3, 9}, {60, 70}}) {
     const std::vector<SweepUseful> want =
         replay_pair_sweep(loop, lw, hw, k_lo, k_hi, kReps, traces, 1, nullptr);
     for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
