@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <random>
 
 namespace shiraz {
@@ -31,9 +32,14 @@ class SplitMix64 {
 ///
 /// `Rng` is cheap to fork: `fork(i)` derives an independent stream for
 /// sub-component `i`, so parallel or repeated experiments never share state.
+/// The engine is seeded on the first draw, not at construction: fork() reads
+/// only the seed, and a campaign creates per-repetition generators that a
+/// replay never draws from, so seeding them (312 dependent steps each) would
+/// be pure waste. The first draw sees the engine that construction would
+/// have built, so the streams are the same.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : seed_(seed), engine_(expand(seed)) {}
+  explicit Rng(std::uint64_t seed) : seed_(seed) {}
 
   std::uint64_t seed() const { return seed_; }
 
@@ -44,7 +50,7 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double uniform() { return std::generate_canonical<double, 53>(engine_); }
+  double uniform() { return std::generate_canonical<double, 53>(engine()); }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -52,25 +58,23 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     std::uniform_int_distribution<std::int64_t> d(lo, hi);
-    return d(engine_);
+    return d(engine());
   }
 
   /// Standard normal draw.
   double normal() {
     std::normal_distribution<double> d(0.0, 1.0);
-    return d(engine_);
+    return d(engine());
   }
 
-  std::mt19937_64& engine() { return engine_; }
+  std::mt19937_64& engine() {
+    if (!engine_) engine_.emplace(SplitMix64(seed_).next());
+    return *engine_;
+  }
 
  private:
-  static std::mt19937_64 expand(std::uint64_t seed) {
-    SplitMix64 mixer(seed);
-    return std::mt19937_64(mixer.next());
-  }
-
   std::uint64_t seed_;
-  std::mt19937_64 engine_;
+  std::optional<std::mt19937_64> engine_;  // empty until the first draw
 };
 
 }  // namespace shiraz

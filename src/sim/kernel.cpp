@@ -1,6 +1,8 @@
 #include "sim/kernel.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
@@ -26,6 +28,176 @@ void emit(obs::EventSink* sink, obs::EventKind kind, Seconds time,
   e.app = static_cast<std::int32_t>(app);
   e.value = value;
   sink->on_event(e);
+}
+
+/// The binade [2^e, 2^(e+1)) of a positive normal double. Its doubles are
+/// exactly n·u for the integers n in [2^52, 2^53), u = 2^(e−52) being its
+/// ulp, so x + c rounds to x plus a whole number of ulps, and that number
+/// depends on x only when c is a tie (an odd multiple of u/2, which rounds
+/// to the even n). A clock that stays inside one binade therefore gains the
+/// same ulps every step, and m steps are integer arithmetic on n
+/// (DESIGN.md §10).
+struct Binade {
+  static constexpr std::uint64_t kFraction = (std::uint64_t{1} << 52) - 1;
+  static constexpr std::int64_t kTop = std::int64_t{1} << 53;     // n of 2^(e+1)
+
+  std::uint64_t exponent = 0;  // the biased exponent field its doubles share
+  Seconds u = 0.0;
+  Seconds per_u = 0.0;  // 1/u, a power of two: scaling by it is exact
+
+  /// x's binade; false unless x is a positive normal double whose ulp is
+  /// normal too (the clock's start, 0, is not).
+  static bool of(Seconds x, Binade* out) {
+    const std::uint64_t e = std::bit_cast<std::uint64_t>(x) >> 52;
+    if (e <= 52 || e >= 2047) return false;  // a sign bit makes e >= 2048
+    out->exponent = e;
+    out->u = std::bit_cast<Seconds>((e - 52) << 52);
+    // Biased exponent of 2^(52 − (e − 1023)): 2098 − e, normal for these e.
+    out->per_u = std::bit_cast<Seconds>((2098 - e) << 52);
+    return true;
+  }
+
+  bool contains(Seconds y) const {
+    return std::bit_cast<std::uint64_t>(y) >> 52 == exponent;
+  }
+  /// n with y == n·u, for y in the binade.
+  static std::int64_t units(Seconds y) {
+    return static_cast<std::int64_t>((std::bit_cast<std::uint64_t>(y) & kFraction) |
+                                     std::uint64_t{1} << 52);
+  }
+  Seconds at(std::int64_t n) const { return static_cast<Seconds>(n) * u; }
+
+  /// The ulps `x += c` adds (fl(x + c) − x, over u) for every x in the binade
+  /// whose sum stays there, read at x = 2^e (c > 0); -1 when c is a tie
+  /// (|c − that| == u/2), where the rounding would depend on x; 2^53, more
+  /// than any walk inside the binade covers, when even 2^e + c leaves it.
+  std::int64_t step(Seconds c) const {
+    const Seconds bottom = std::bit_cast<Seconds>(exponent << 52);  // 2^e
+    const Seconds added = (bottom + c) - bottom;
+    if (added >= bottom) return kTop;
+    if (std::abs(c - added) == 0.5 * u) return -1;
+    return static_cast<std::int64_t>(added * per_u);
+  }
+
+  /// How many steps of d ulps from n stay inside the binade (n in it,
+  /// d >= 0; at most 2^53 when d is 0).
+  static std::int64_t room(std::int64_t n, std::int64_t d) {
+    return d == 0 ? kTop : (kTop - 1 - n) / d;
+  }
+
+  /// Whether m steps of d ulps from n stay inside the binade (n in it, m and
+  /// d >= 0): short jumps with d <= 2^53 multiply without overflow, longer
+  /// ones divide.
+  static bool fits(std::int64_t n, std::int64_t m, std::int64_t d) {
+    if (m < 1024 && d <= kTop) return n + m * d < kTop;
+    return m <= room(n, d);
+  }
+};
+
+/// Whole light-weight segments a gap's prefix must be able to complete
+/// before flat_pair_sweep_rep counts the gap instead of stepping it: a gap
+/// that ends within a segment or two steps about as fast as it divides
+/// (measured, DESIGN.md §10).
+constexpr std::int64_t kCountCutoff = 2;
+
+/// Whole segments a jump in run_flat must skip: a jump sits on the clock's
+/// dependent chain and costs about as much as a couple of dozen segment
+/// steps, so shorter ones lose (measured, DESIGN.md §10).
+constexpr std::int64_t kJumpCutoff = 24;
+
+/// The stop bound of a gap's walk, as the engine's stop test reads it: a
+/// segment ending at seg_end completes iff seg_end <= next_fail when the
+/// failure comes before the horizon (inclusive), else iff seg_end < horizon
+/// (exclusive). Returns false when the bound leaves the binade of `start` —
+/// a power of two inside the walk — and otherwise the bound's distance from
+/// `start` in ulps, less one when exclusive: a segment ending n·u past
+/// `start` completes iff n <= *span.
+bool span_in_binade(const Binade& bin, Seconds start, Seconds next_fail,
+                    Seconds horizon, std::int64_t* span) {
+  const bool inclusive = next_fail < horizon;
+  const Seconds bound = inclusive ? next_fail : horizon;
+  if (!bin.contains(bound)) return false;
+  *span = Binade::units(bound) - Binade::units(start) - (inclusive ? 0 : 1);
+  return true;
+}
+
+/// A jump over a phase's whole segments: the run's clock and the running
+/// app's `useful` and `io` after `segments` of them (0: unmoved), and how
+/// many segments the per-segment loop steps before the next try.
+struct Jump {
+  static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
+
+  std::size_t segments = 0;
+  Seconds now = 0.0;
+  Seconds useful = 0.0;
+  Seconds io = 0.0;
+  std::size_t retry_after = kNever;
+};
+
+/// Jumps a phase that has `budget` segments to go from `now` over the whole
+/// segments before the one that stops the run or ends the budget, as far as
+/// the clock, `useful` and `io` each stay inside their own binade: each
+/// segment adds the same ulps to each there, so m segments add m times
+/// those ulps, the values the engine's m rounds of `+=` reach (DESIGN.md
+/// §10). Segments that stay in the clock's binade all complete, since the
+/// stop bound is past a binade that does not hold it. A jump shorter than
+/// kJumpCutoff or a tie leaves the run unmoved; when a binade top (or a
+/// zero, the clock's and accumulators' start) is what cut the jump short,
+/// the next try comes after the segment that crosses it.
+Jump jump_segments(Seconds now, Seconds next_fail, Seconds horizon, Seconds tau,
+                   Seconds delta, Seconds useful, Seconds io, std::size_t budget) {
+  Jump out{0, now, useful, io, Jump::kNever};
+  // Most phases are short: rule them out before any integer work. Rounding
+  // makes this estimate of the segments before the bound inexact, which
+  // only moves where a jump starts paying, not what it computes.
+  if (budget <= static_cast<std::size_t>(kJumpCutoff) ||
+      std::min(next_fail, horizon) - now <
+          static_cast<Seconds>(kJumpCutoff) * (tau + delta)) {
+    return out;
+  }
+  Binade clock;
+  Binade bu;
+  Binade bi;
+  if (!Binade::of(now, &clock) || !Binade::of(useful, &bu) ||
+      !Binade::of(io, &bi)) {
+    out.retry_after = 1;
+    return out;
+  }
+  const std::int64_t d_tau = clock.step(tau);
+  const std::int64_t d_delta = clock.step(delta);
+  const std::int64_t d = d_tau + d_delta;
+  const std::int64_t d_useful = bu.step(tau);
+  const std::int64_t d_io = bi.step(delta);
+  if (std::min({d_tau, d_delta, d_useful, d_io}) < 0 || d == 0 || d >= Binade::kTop) {
+    return out;
+  }
+  // The segments before the stopping or budget-ending one: the budget's,
+  // unless the stop bound is in the clock's binade and comes first.
+  const std::int64_t n_now = Binade::units(now);
+  const std::int64_t n_useful = Binade::units(useful);
+  const std::int64_t n_io = Binade::units(io);
+  std::int64_t m = static_cast<std::int64_t>(
+      std::min(budget - 1, static_cast<std::size_t>(Binade::kTop)));
+  std::int64_t span = 0;
+  const bool bound_in_binade = span_in_binade(clock, now, next_fail, horizon, &span);
+  if (bound_in_binade && (m >= 1024 || m * d > span)) m = std::min(m, span / d);
+  if (m < kJumpCutoff) return out;
+  if (!(bound_in_binade || Binade::fits(n_now, m, d)) ||
+      !Binade::fits(n_useful, m, d_useful) || !Binade::fits(n_io, m, d_io)) {
+    // A binade top comes first: jump to it, then step across.
+    const std::int64_t room =
+        std::min({Binade::room(n_now, d), Binade::room(n_useful, d_useful),
+                  Binade::room(n_io, d_io)});
+    out.retry_after = static_cast<std::size_t>(room) + 1;
+    if (room < kJumpCutoff) return out;
+    m = room;
+    out.retry_after = 1;
+  }
+  out.segments = static_cast<std::size_t>(m);
+  out.now = clock.at(n_now + m * d);
+  out.useful = bu.at(n_useful + m * d_useful);
+  out.io = bi.at(n_io + m * d_io);
+  return out;
 }
 
 /// The kernel proper: one repetition over a prebuilt phase plan. kNarrate
@@ -94,7 +266,25 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
       am->checkpoints = checkpoints;
     };
     std::size_t done_in_phase = 0;
+    [[maybe_unused]] std::size_t next_jump = 0;  // done_in_phase of the next try
     for (;;) {
+      // Without a sink a phase opens with a jump over the segments before
+      // the one that stops the run or ends its budget, as far as
+      // jump_segments finds them exact, and tries again where it says;
+      // everything else, and every narrated run, steps segment by segment.
+      if constexpr (!kNarrate) {
+        if (done_in_phase == next_jump) {
+          const Jump j = jump_segments(now, next_fail, horizon, tau, delta, useful,
+                                       io, plan[phase].budget - done_in_phase);
+          now = j.now;
+          useful = j.useful;
+          io = j.io;
+          checkpoints += j.segments;
+          done_in_phase += j.segments;
+          next_jump = j.retry_after == Jump::kNever ? Jump::kNever
+                                                    : done_in_phase + j.retry_after;
+        }
+      }
       // The engine's exact segment resolution: compute [now, write_start),
       // checkpoint write [write_start, seg_end), three-way compare.
       const Seconds write_start = now + tau;
@@ -156,6 +346,7 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
           checkpoints = am->checkpoints;
         }
         done_in_phase = 0;
+        next_jump = 0;
       }
     }
   }
@@ -217,59 +408,119 @@ void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
   std::vector<std::size_t> gaps_with(k_hi_sz + 1, 0);
   std::vector<std::size_t> hw_segments(n, 0);
 
+  // Closed form for a gap whose whole walk stays inside its start's binade
+  // (DESIGN.md §10). Every segment then adds d_lw ulps to the light-weight
+  // clock and d_hw to a heavy-weight lane, so with `span` the ulps from the
+  // gap start to the stop bound (span_in_binade), the shared prefix completes
+  // min(k_hi, ⌊span/d_lw⌋) segments and candidate k's tail ⌊(span −
+  // k·d_lw)/d_hw⌋. The tails come from one quotient/remainder pair stepped
+  // down by d_lw = lw_q·d_hw + lw_r per candidate, with no division per lane.
+  // The step sizes depend on the binade only, so they are kept across the
+  // gaps that share one (no valid binade has exponent field 0).
+  std::uint64_t steps_exponent = 0;
+  bool steps_exact = false;
+  std::int64_t d_lw = 0;
+  std::int64_t d_hw = 0;
+  std::int64_t lw_q = 0;
+  std::int64_t lw_r = 0;
+  auto count_in_binade = [&](Seconds gap_start, Seconds next_fail) {
+    Binade bin;
+    std::int64_t span = 0;
+    if (!Binade::of(gap_start, &bin) ||
+        !span_in_binade(bin, gap_start, next_fail, horizon, &span)) {
+      return false;  // the first gap, from 0, or a power of two inside the walk
+    }
+    if (bin.exponent != steps_exponent) {
+      steps_exponent = bin.exponent;
+      const std::int64_t lw_tau = bin.step(tau_lw);
+      const std::int64_t lw_delta = bin.step(delta_lw);
+      const std::int64_t hw_tau = bin.step(tau_hw);
+      const std::int64_t hw_delta = bin.step(delta_hw);
+      d_lw = lw_tau + lw_delta;
+      d_hw = hw_tau + hw_delta;
+      steps_exact = std::min({lw_tau, lw_delta, hw_tau, hw_delta}) >= 0 &&
+                    d_lw > 0 && d_hw > 0;
+      if (steps_exact) {
+        lw_q = d_lw / d_hw;
+        lw_r = d_lw % d_hw;
+      }
+    }
+    // A period on a tie, or a run too short to pay for the divisions.
+    if (!steps_exact || span < kCountCutoff * d_lw) return false;
+    const std::size_t completed =
+        std::min(k_hi_sz, static_cast<std::size_t>(span / d_lw));
+    ++gaps_with[completed];
+    if (completed < k_lo_sz) return true;
+    const std::int64_t tail = span - static_cast<std::int64_t>(k_lo_sz) * d_lw;
+    std::int64_t q = tail / d_hw;
+    std::int64_t r = tail % d_hw;
+    for (std::size_t i = 0;; ++i) {
+      hw_segments[i] += static_cast<std::size_t>(q);
+      if (i == completed - k_lo_sz) return true;
+      q -= lw_q;
+      r -= lw_r;
+      if (r < 0) {
+        r += d_hw;
+        --q;
+      }
+    }
+  };
+
   const Seconds* fail_times = trace.fail_times().data();
   std::size_t cursor = 0;
   Seconds gap_start = 0.0;
   Seconds next_fail = fail_times[cursor++];
   for (;;) {
-    // Light-weight prefix: the engine's comparisons verbatim, with the
-    // periodic interval hoisted out of the loop.
-    std::size_t completed = 0;
-    Seconds now = gap_start;
-    while (completed < k_hi_sz) {
-      const Seconds seg_end = now + tau_lw + delta_lw;
-      if (horizon <= seg_end && horizon <= next_fail) break;
-      if (next_fail < seg_end) break;
-      seg_end_at[completed++] = seg_end;
-      now = seg_end;
-    }
-    ++gaps_with[completed];
-
-    // Heavy-weight tails in lockstep, one per candidate k <= completed (at
-    // most n: completed <= k_hi); the rest were still light-weight when the
-    // gap ended. Lane i is candidate k_lo + i's clock, starting at its switch
-    // time seg_end_at[k - 1] (in place: the prefix is done with the buffer).
-    // A step advances every active lane by the per-candidate loop's own
-    // expression, then pops the lanes that stop.
-    // Popping from the top is exact: the lanes start in non-decreasing order;
-    // round-to-nearest addition is monotone (x <= y implies fl(x + c) <=
-    // fl(y + c)), so they stay ordered; and for this gap's next_fail and
-    // horizon the stop test is monotone in seg_end — so at every step the
-    // lanes that stop are a top suffix. Each lane performs the same doubles
-    // as a serial walk and stops at the same step, so a popped lane's count
-    // (the steps it completed) is the serial loop's; what changes is that the
-    // adds no longer form one dependent chain per candidate.
-    //
-    // The step runs in whole blocks of kLaneBlock lanes, the last one rounded
-    // up, so GCC packs each block's independent adds (addpd); every element
-    // still computes its own `lane + tau_hw + delta_hw`. The lanes a block
-    // carries past `active` are dead: popped earlier (their counts are in),
-    // not switched this gap, or padding past k_hi. No pop reads them, and a
-    // later gap steps a lane only after its prefix wrote a fresh switch time
-    // there.
-    Seconds* const lane = seg_end_at + (k_lo_sz - 1);
-    auto stops = [&](Seconds seg_end) {
-      return (horizon <= seg_end && horizon <= next_fail) || next_fail < seg_end;
-    };
-    std::size_t active = completed < k_lo_sz ? 0 : completed - k_lo_sz + 1;
-    for (std::size_t steps = 0; active > 0; ++steps) {
-      for (std::size_t i = 0; i < active; i += kLaneBlock) {
-        Seconds* const block = lane + i;
-        for (std::size_t j = 0; j < kLaneBlock; ++j) {
-          block[j] = block[j] + tau_hw + delta_hw;
-        }
+    if (!count_in_binade(gap_start, next_fail)) {
+      // Light-weight prefix: the engine's comparisons verbatim, with the
+      // periodic interval hoisted out of the loop.
+      std::size_t completed = 0;
+      Seconds now = gap_start;
+      while (completed < k_hi_sz) {
+        const Seconds seg_end = now + tau_lw + delta_lw;
+        if (horizon <= seg_end && horizon <= next_fail) break;
+        if (next_fail < seg_end) break;
+        seg_end_at[completed++] = seg_end;
+        now = seg_end;
       }
-      while (active > 0 && stops(lane[active - 1])) hw_segments[--active] += steps;
+      ++gaps_with[completed];
+
+      // Heavy-weight tails in lockstep, one per candidate k <= completed (at
+      // most n: completed <= k_hi); the rest were still light-weight when the
+      // gap ended. Lane i is candidate k_lo + i's clock, starting at its switch
+      // time seg_end_at[k - 1] (in place: the prefix is done with the buffer).
+      // A step advances every active lane by the per-candidate loop's own
+      // expression, then pops the lanes that stop.
+      // Popping from the top is exact: the lanes start in non-decreasing order;
+      // round-to-nearest addition is monotone (x <= y implies fl(x + c) <=
+      // fl(y + c)), so they stay ordered; and for this gap's next_fail and
+      // horizon the stop test is monotone in seg_end — so at every step the
+      // lanes that stop are a top suffix. Each lane performs the same doubles
+      // as a serial walk and stops at the same step, so a popped lane's count
+      // (the steps it completed) is the serial loop's; what changes is that the
+      // adds no longer form one dependent chain per candidate.
+      //
+      // The step runs in whole blocks of kLaneBlock lanes, the last one rounded
+      // up, so GCC packs each block's independent adds (addpd); every element
+      // still computes its own `lane + tau_hw + delta_hw`. The lanes a block
+      // carries past `active` are dead: popped earlier (their counts are in),
+      // not switched this gap, or padding past k_hi. No pop reads them, and a
+      // later gap steps a lane only after its prefix wrote a fresh switch time
+      // there.
+      Seconds* const lane = seg_end_at + (k_lo_sz - 1);
+      auto stops = [&](Seconds seg_end) {
+        return (horizon <= seg_end && horizon <= next_fail) || next_fail < seg_end;
+      };
+      std::size_t active = completed < k_lo_sz ? 0 : completed - k_lo_sz + 1;
+      for (std::size_t steps = 0; active > 0; ++steps) {
+        for (std::size_t i = 0; i < active; i += kLaneBlock) {
+          Seconds* const block = lane + i;
+          for (std::size_t j = 0; j < kLaneBlock; ++j) {
+            block[j] = block[j] + tau_hw + delta_hw;
+          }
+        }
+        while (active > 0 && stops(lane[active - 1])) hw_segments[--active] += steps;
+      }
     }
 
     if (next_fail >= horizon) break;

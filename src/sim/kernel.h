@@ -56,7 +56,11 @@ namespace shiraz::sim {
 /// above). When every rule holds, replays one repetition of `trace` — whose
 /// horizon must cover the config's — into `*out`, narrating into `sink` when
 /// it is non-null, and returns nullptr: exactly what Engine::replay returns
-/// and narrates for the same inputs.
+/// and narrates for the same inputs. Without a sink, a phase's whole
+/// segments before the one that stops the run or ends the phase's budget go
+/// in one integer jump wherever the clock and the running app's useful and
+/// io accumulators each stay inside one binade (DESIGN.md §10); the rest,
+/// and every narrated run, step segment by segment.
 const char* try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
                             const Scheduler& scheduler, const AlarmSource* alarms,
                             obs::EventSink* sink, const FailureTrace& trace,
@@ -73,8 +77,14 @@ const char* try_flat_replay(const EngineConfig& config, const std::vector<SimJob
 /// completed segment from 0.0, so m sequential `+= tau` from 0.0 (an
 /// iterated-sum table, built once per sweep by replay_pair_sweep) is the
 /// engine's useful work bit for bit — the hoisted period equals every
-/// next_interval return by the period() contract. The heavy-weight tails of
-/// all switched candidates advance in lockstep, four lanes per block; the
+/// next_interval return by the period() contract. A gap whose whole walk
+/// stays inside its start's binade is counted, not stepped: with R the ulps
+/// from the gap start to its stop bound, the shared prefix completes
+/// min(k_hi, ⌊R/d_lw⌋) segments and candidate k's tail ⌊(R − k·d_lw)/d_hw⌋,
+/// d_lw and d_hw being the ulps one segment adds there. Every other gap (the
+/// first, from 0; one with a power of two inside the walk; a period on a tie
+/// there; a prefix shorter than the cutoff) steps: the heavy-weight tails of
+/// all switched candidates advance in lockstep, four lanes per block. The
 /// light-weight counts come from a per-repetition histogram of how many
 /// segments each gap's shared prefix completed (DESIGN.md §10).
 void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,

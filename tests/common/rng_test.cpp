@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <random>
 #include <set>
 #include <vector>
 
@@ -92,6 +93,49 @@ TEST(Rng, ForkDoesNotPerturbParent) {
   Rng b(5);
   (void)a.fork(3);
   EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
+}
+
+// The engine is seeded on the first draw. Every stream must still be the one
+// an engine seeded at construction gives: mt19937_64 seeded with the first
+// SplitMix64 output of the seed, for a copy taken before any draw and for
+// forks taken before and after draws alike.
+TEST(Rng, FirstDrawSeedingKeepsEveryStream) {
+  auto eager = [](std::uint64_t seed) {
+    return std::mt19937_64(SplitMix64(seed).next());
+  };
+  constexpr int kDraws = 700;  // past the engine's 312-word state twice
+  Rng rng(2018);
+  const Rng copy_before = rng;
+  const Rng fork_before = rng.fork(7);
+
+  std::mt19937_64 want = eager(2018);
+  for (int i = 0; i < kDraws; ++i) ASSERT_EQ(rng.engine()(), want()) << "draw " << i;
+  const Rng copy_after = rng;  // mid-stream: carries the engine state along
+  const Rng fork_after = rng.fork(7);
+
+  Rng copy = copy_before;
+  std::mt19937_64 from_start = eager(2018);
+  for (int i = 0; i < kDraws; ++i) ASSERT_EQ(copy.engine()(), from_start()) << "draw " << i;
+  Rng resumed = copy_after;
+  for (int i = 0; i < kDraws; ++i) ASSERT_EQ(resumed.engine()(), want()) << "draw " << i;
+
+  Rng early = fork_before;
+  Rng late = fork_after;
+  EXPECT_EQ(early.seed(), late.seed());
+  std::mt19937_64 forked = eager(early.seed());
+  for (int i = 0; i < kDraws; ++i) {
+    const std::uint64_t expected = forked();
+    ASSERT_EQ(early.engine()(), expected) << "draw " << i;
+    ASSERT_EQ(late.engine()(), expected) << "draw " << i;
+  }
+
+  // The convenience draws read the same engine: uniform() is the canonical
+  // double of the eager engine's stream.
+  Rng draws(99);
+  std::mt19937_64 reference = eager(99);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(draws.uniform(), (std::generate_canonical<double, 53>(reference)));
+  }
 }
 
 TEST(Rng, SeedAccessorReturnsConstructorValue) {

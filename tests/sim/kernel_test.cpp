@@ -5,8 +5,10 @@
 // stream, and every ineligible configuration falls back to the event loop
 // with identical behavior. Bit-identity here means EXPECT_EQ on doubles: the
 // kernel is an optimization, never an approximation.
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -495,6 +497,257 @@ INSTANTIATE_TEST_SUITE_P(Corpus, FlatKernelSweepCorpus,
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return test_name(info.param);
                          });
+
+// ---------------------------------------------------------------------------
+// The closed forms (DESIGN.md §10) on traces built to sit on their edges.
+// Inside one binade the kernel counts a walk's segments instead of stepping
+// them. Here every failure lands on, or one ulp either side of, a segment
+// end of some walk the kernel closes — so an off-by-one in the inclusive
+// (failure) or exclusive (horizon) bound, or a step one ulp off, changes a
+// count or a lost/truncated double — or on and next to a power of two,
+// where a walk leaves its binade. Walks of 1 to 3 and 23 to 25 light-weight
+// segments straddle the cutoffs below which the kernel steps; the first gap,
+// from 0, always steps.
+
+/// Periods and checkpoint costs of a light- and a heavy-weight app.
+struct EdgeCosts {
+  const char* name;
+  Seconds tau_lw;
+  Seconds delta_lw;
+  Seconds tau_hw;
+  Seconds delta_hw;
+};
+
+/// OCI-scale doubles with full mantissas; the same scale with each value's
+/// lowest bit at 2^(e−53), so it is a tie in the binade [2^e, 2^(e+1)) for
+/// an e in 16..19, all of which the clock walks through; and coarse binary
+/// fractions, half-integers and a power of two, which every binade here
+/// steps exactly.
+const EdgeCosts kEdgeCosts[] = {
+    {"oci", std::sqrt(2.0 * hours(24.0) * 18.0), 18.0,
+     std::sqrt(2.0 * hours(24.0) * 1800.0), 1800.0},
+    {"ties", 823.0 + 0x1p-35, 18.0 + 0x1p-36, 8050.0 + 0x1p-34, 1800.0 + 0x1p-37},
+    {"coarse", 600.375, 0.5, 4096.0, 1800.5},
+};
+
+/// A walk's end as the engine computes it: `segments` rounds of
+/// `t + tau + delta`.
+Seconds walk_end(Seconds t, Seconds tau, Seconds delta, std::int64_t segments) {
+  for (std::int64_t i = 0; i < segments; ++i) t = t + tau + delta;
+  return t;
+}
+
+/// A point past `from` on an edge: the end of a light-weight walk (1 to 3
+/// or 23 to 25 segments, around the kernel's two cutoffs, half the time,
+/// else 1 to 60), of a heavy-weight walk, of a lane that switched after 1 to
+/// 64 light-weight segments, or the next power of two — then that point or
+/// one ulp either side of it.
+Seconds edge_point(Rng& rng, const EdgeCosts& c, Seconds from) {
+  Seconds point = from;
+  switch (rng.uniform_int(0, 3)) {
+    case 0: {
+      const std::int64_t around = rng.uniform_int(0, 3);
+      point = walk_end(from, c.tau_lw, c.delta_lw,
+                       around == 0   ? rng.uniform_int(1, 3)
+                       : around == 1 ? rng.uniform_int(23, 25)
+                                     : rng.uniform_int(1, 60));
+      break;
+    }
+    case 1:
+      point = walk_end(from, c.tau_hw, c.delta_hw, rng.uniform_int(1, 8));
+      break;
+    case 2:
+      point = walk_end(walk_end(from, c.tau_lw, c.delta_lw, rng.uniform_int(1, 64)),
+                       c.tau_hw, c.delta_hw, rng.uniform_int(1, 6));
+      break;
+    default: {
+      int exponent = 0;
+      std::frexp(from, &exponent);
+      point = std::ldexp(1.0, exponent);
+      break;
+    }
+  }
+  const std::int64_t side = rng.uniform_int(-1, 1);
+  if (side != 0) {
+    point = std::nextafter(point, side < 0 ? 0.0 : std::numeric_limits<Seconds>::max());
+  }
+  return point > from ? point : walk_end(from, c.tau_lw, c.delta_lw, 1);
+}
+
+/// An engine whose failures, after a first gap to `start`, fall on edge
+/// points (a stateless sampler: TraceStore feeds it each failure time).
+Engine edge_engine(bool flat_kernel, const EdgeCosts& c, Seconds start,
+                   Seconds horizon) {
+  EngineConfig cfg;
+  cfg.t_total = horizon;
+  cfg.flat_kernel = flat_kernel;
+  return Engine(
+      [c, start](Rng& rng, Seconds t) {
+        return t == 0.0 ? start : edge_point(rng, c, t) - t;
+      },
+      cfg);
+}
+
+std::vector<SimJob> edge_jobs(const EdgeCosts& c) {
+  return {SimJob{"lw", c.delta_lw, std::make_shared<checkpoint::EquidistantSchedule>(c.tau_lw)},
+          SimJob{"hw", c.delta_hw,
+                 std::make_shared<checkpoint::EquidistantSchedule>(c.tau_hw)}};
+}
+
+/// Starts the edge gaps inside, and at the bottom of, the clock's binades
+/// [2^16, 2^20]; horizons on and one ulp either side of 2^20, so the last
+/// walks stop on the exclusive bound next to a power of two.
+const Seconds kEdgeStarts[] = {0x1p16 - 3000.0, 0x1p17, 0x1p18 + 777.0};
+const Seconds kEdgeHorizons[] = {0x1p20, std::nextafter(0x1p20, 0.0),
+                                 std::nextafter(0x1p20, 0x1p21)};
+
+TEST(FlatKernel, SweepMatchesTheEventLoopOnEdgeTraces) {
+  for (const EdgeCosts& c : kEdgeCosts) {
+    for (const Seconds start : kEdgeStarts) {
+      for (const Seconds horizon : kEdgeHorizons) {
+        SCOPED_TRACE(::testing::Message()
+                     << c.name << " costs, start " << start << ", horizon "
+                     << std::hexfloat << horizon << std::defaultfloat);
+        const Engine flat = edge_engine(true, c, start, horizon);
+        const Engine loop = edge_engine(false, c, start, horizon);
+        const TraceStore traces(loop, kSeed);
+        const std::vector<SimJob> jobs = edge_jobs(c);
+        expect_sweep_matches_event_loop(flat, loop, jobs[0], jobs[1], traces);
+      }
+    }
+  }
+}
+
+TEST(FlatKernel, CampaignsMatchTheEventLoopOnEdgeTraces) {
+  // ShirazPair(30) and (60) end their light-weight budget inside a walk the
+  // kernel jumps; (3) never jumps it; (1) switches at once.
+  for (const EdgeCosts& c : kEdgeCosts) {
+    for (const Seconds start : kEdgeStarts) {
+      for (const Seconds horizon : kEdgeHorizons) {
+        SCOPED_TRACE(::testing::Message()
+                     << c.name << " costs, start " << start << ", horizon "
+                     << std::hexfloat << horizon << std::defaultfloat);
+        const Engine flat = edge_engine(true, c, start, horizon);
+        const Engine loop = edge_engine(false, c, start, horizon);
+        const TraceStore traces(loop, kSeed);
+        CampaignOptions opts;
+        opts.traces = &traces;
+        const std::vector<SimJob> jobs = edge_jobs(c);
+        expect_identical(flat.run_many(jobs, AlternateAtFailure(), kReps, kSeed, opts),
+                         loop.run_many(jobs, AlternateAtFailure(), kReps, kSeed, opts));
+        for (const int k : {1, 3, 30, 60}) {
+          SCOPED_TRACE(::testing::Message() << "ShirazPair(" << k << ")");
+          const ShirazPairScheduler shiraz(k);
+          expect_identical(flat.run_many(jobs, shiraz, kReps, kSeed, opts),
+                           loop.run_many(jobs, shiraz, kReps, kSeed, opts));
+        }
+      }
+    }
+  }
+}
+
+TEST(FlatKernel, ClosedFormsMatchTheEventLoopWhereTheHorizonIsAnEdge) {
+  // Direct traces, so the horizon itself can sit on (or one ulp off) a
+  // segment end: a walk that reaches it is truncated, not completed. The
+  // sweep's counts are checked against one event-loop replay per k.
+  std::size_t traces_checked = 0;
+  for (const EdgeCosts& c : kEdgeCosts) {
+    const std::vector<SimJob> jobs = edge_jobs(c);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      Rng rng(seed);
+      const Seconds start = kEdgeStarts[seed % 3];
+      std::vector<Seconds> gaps{start};
+      Seconds t = start;
+      for (int i = 0; i < 30; ++i) {
+        gaps.push_back(edge_point(rng, c, t) - t);
+        t += gaps.back();
+      }
+      const Seconds horizon = edge_point(rng, c, t);
+      // The last failure lands on the horizon when the sum reaches it, else
+      // a heavy-weight period past it.
+      const Seconds last = horizon - t;
+      gaps.push_back(t + last >= horizon && seed % 2 == 0 ? last : last + c.tau_hw);
+      const FailureTrace trace(std::move(gaps), horizon);
+      SCOPED_TRACE(::testing::Message() << c.name << " costs, seed " << seed);
+
+      EngineConfig cfg;
+      cfg.t_total = horizon;
+      cfg.flat_kernel = false;
+      const Engine loop(reliability::Weibull::from_mtbf(0.6, hours(24.0)), cfg);
+      auto expect_kernel_matches = [&](const Scheduler& sched) {
+        SimResult via_kernel;
+        ASSERT_STREQ(try_flat_replay(cfg, jobs, sched, nullptr, nullptr, trace,
+                                     &via_kernel),
+                     nullptr);
+        expect_identical(via_kernel, loop.replay(jobs, sched, trace));
+      };
+      expect_kernel_matches(AlternateAtFailure());
+      for (const int k : {3, 30, 60}) expect_kernel_matches(ShirazPairScheduler(k));
+
+      constexpr int kLo = 1;
+      constexpr std::size_t kCandidates = 64;
+      std::vector<std::size_t> lw(kCandidates);
+      std::vector<std::size_t> hw(kCandidates);
+      flat_pair_sweep_rep(c.tau_lw, c.delta_lw, c.tau_hw, c.delta_hw, kLo, horizon,
+                          trace, lw, hw);
+      for (std::size_t i = 0; i < kCandidates; ++i) {
+        const int k = kLo + static_cast<int>(i);
+        const SimResult want = loop.replay(jobs, ShirazPairScheduler(k), trace);
+        EXPECT_EQ(lw[i], want.apps[0].checkpoints) << "k = " << k;
+        EXPECT_EQ(hw[i], want.apps[1].checkpoints) << "k = " << k;
+      }
+      ++traces_checked;
+    }
+  }
+  EXPECT_EQ(traces_checked, 3u * 8u);
+}
+
+TEST(FlatKernel, ClosedFormsMatchTheEventLoopForPhasesOfThousandsOfSegments) {
+  // One-second light-weight segments in gaps of thousands of seconds: phase
+  // budgets of a thousand segments and more end inside the walk a jump
+  // covers, the second gap crosses 2^17, the third and the last end exactly
+  // on a light-weight segment end (a failure, inclusive; the horizon,
+  // exclusive), and the sweep's candidates switch around those ends.
+  const EdgeCosts c{"fine", 0.75, 0.25, 7.5, 0.5};
+  const std::vector<SimJob> jobs = edge_jobs(c);
+  std::vector<Seconds> gaps{0x1p17 - 2000.5, 1500.0, 3000.0, 1024.5, 5000.25, 2047.0};
+  Seconds t = 0.0;
+  for (const Seconds gap : gaps) t += gap;
+  const Seconds horizon = t + 4000.0;
+  gaps.push_back(4100.0);
+  const FailureTrace trace(std::move(gaps), horizon);
+
+  EngineConfig cfg;
+  cfg.t_total = horizon;
+  cfg.flat_kernel = false;
+  const Engine loop(reliability::Weibull::from_mtbf(0.6, hours(24.0)), cfg);
+  auto expect_kernel_matches = [&](const Scheduler& sched) {
+    SCOPED_TRACE(sched.name());
+    SimResult via_kernel;
+    ASSERT_STREQ(try_flat_replay(cfg, jobs, sched, nullptr, nullptr, trace, &via_kernel),
+                 nullptr);
+    expect_identical(via_kernel, loop.replay(jobs, sched, trace));
+  };
+  expect_kernel_matches(AlternateAtFailure());
+  for (const int k : {1023, 1024, 1025, 1500, 2000, 2999, 3000, 4000}) {
+    SCOPED_TRACE(::testing::Message() << "ShirazPair(" << k << ")");
+    expect_kernel_matches(ShirazPairScheduler(k));
+  }
+
+  constexpr std::size_t kCandidates = 64;
+  for (const int k_lo : {1000, 2980}) {
+    std::vector<std::size_t> lw(kCandidates);
+    std::vector<std::size_t> hw(kCandidates);
+    flat_pair_sweep_rep(c.tau_lw, c.delta_lw, c.tau_hw, c.delta_hw, k_lo, horizon, trace,
+                        lw, hw);
+    for (std::size_t i = 0; i < kCandidates; ++i) {
+      const int k = k_lo + static_cast<int>(i);
+      const SimResult want = loop.replay(jobs, ShirazPairScheduler(k), trace);
+      EXPECT_EQ(lw[i], want.apps[0].checkpoints) << "k = " << k;
+      EXPECT_EQ(hw[i], want.apps[1].checkpoints) << "k = " << k;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Eligibility: every fallback rule, and that the dispatcher actually takes
