@@ -21,6 +21,9 @@ SolverCache::SolverCache(std::shared_ptr<obs::MetricsRegistry> metrics)
                                "switch-point solves computed fresh");
   entries_gauge_ = &metrics_->gauge("shiraz_solver_cache_entries",
                                     "distinct signatures memoized");
+  evaluations_ = &metrics_->counter(
+      "shiraz_solver_model_evaluations_total",
+      "analytical model evaluations (one switch point each) made by misses");
 }
 
 CachedSolution SolverCache::solve(const SolverCacheKey& key) const {
@@ -56,6 +59,7 @@ CachedSolution SolverCache::solve(const SolverCacheKey& key) const {
                            AppSpec{"hw", key.delta_hw, key.hw_stretch}, opts);
     entry->solution =
         CachedSolution{sol.k, sol.delta_lw, sol.delta_hw, sol.delta_total};
+    evaluations_->add(static_cast<std::uint64_t>(sol.model_evaluations));
   });
   return entry->solution;
 }
@@ -77,6 +81,7 @@ void SolverCache::clear() const {
   entries_.clear();
   hits_->reset();
   misses_->reset();
+  evaluations_->reset();
   entries_gauge_->set(0.0);
 }
 

@@ -19,7 +19,9 @@
 // deterministic solver and only ever copied out.
 //
 // Accounting lives on an obs::MetricsRegistry (shiraz_solver_cache_*
-// counters plus an entries gauge) rather than bespoke members: pass a shared
+// counters plus an entries gauge) rather than bespoke members, beside
+// shiraz_solver_model_evaluations_total, the model evaluations the misses'
+// solves made (bumped when a solve lands, outside the map lock): pass a shared
 // registry to fold the cache into a process-wide snapshot (the serve daemon
 // does), or let the default constructor own a private one — either way the
 // Stats contract above is unchanged because the counters are bumped under
@@ -128,6 +130,7 @@ class SolverCache {
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
   obs::Gauge* entries_gauge_ = nullptr;
+  obs::Counter* evaluations_ = nullptr;
   mutable std::mutex mu_;
   mutable std::map<SolverCacheKey, std::shared_ptr<Entry>> entries_;
 };

@@ -9,6 +9,7 @@
 // (k = infinity in the paper's formulation).
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -33,21 +34,30 @@ struct SwitchSolution {
   double delta_hw = 0.0;
   double delta_total = 0.0;
   /// Region of interest: all k with delta_lw >= 0 and delta_hw >= 0 and
-  /// delta_total > 0 (paper Fig. 10's shaded band). Empty when none.
+  /// delta_total > 0 (paper Fig. 10's shaded band). A keep_sweep output:
+  /// empty when the scan found none, and always empty without keep_sweep
+  /// (the bracketed search never visits the whole band).
   std::optional<int> region_lo;
   std::optional<int> region_hi;
-  /// The full sweep, for benches that plot Delta curves (Figs. 10-12).
+  /// The full sweep, for benches that plot Delta curves (Figs. 10-12). Empty
+  /// without keep_sweep.
   std::vector<SwitchCandidate> sweep;
+  /// ShirazModel::shiraz(k) evaluations the solve made, one per distinct k
+  /// (the baseline pair, evaluated once per solve, is not counted).
+  int model_evaluations = 0;
 
   bool beneficial() const { return k.has_value(); }
 };
 
 struct SolverOptions {
-  /// Upper bound of the k scan. The switch time k*segment(LW) rarely needs to
-  /// exceed a few MTBFs; the default covers the paper's largest case
+  /// Upper bound of the k domain. The switch time k*segment(LW) rarely needs
+  /// to exceed a few MTBFs; the default covers the paper's largest case
   /// (delta-factor 1000 at petascale, k* = 161) with a wide margin.
   int max_k = 4096;
-  /// Keep the full sweep in the solution (costs memory; benches want it).
+  /// Scan every k and keep the full sweep and the region of interest in the
+  /// solution (costs one model evaluation per k; benches plotting the Delta
+  /// curves want it). Off, the solver brackets the crossing instead and
+  /// returns the same k and deltas, bit for bit, in O(log k*) evaluations.
   bool keep_sweep = true;
 };
 
@@ -55,7 +65,18 @@ struct SolverOptions {
 SwitchCandidate evaluate_switch_point(const ShirazModel& model, const AppSpec& lw,
                                       const AppSpec& hw, int k);
 
-/// Finds the fair optimal switch point by scanning k = 1..max_k.
+/// The search solve_switch_point runs without keep_sweep, over any candidate
+/// sequence on k = 1..last_k with D(k) = delta_lw - delta_hw non-decreasing:
+/// steps k = 1, 2, 4, ... (clamped to last_k) until D > 0, bisects to the
+/// first such k, and returns what a scan of k = 1..last_k would pick — the
+/// first k of minimal |D| — or nothing when D never turns positive. Calls
+/// `evaluate` once per distinct k, about 2*log2(k*) times.
+std::optional<SwitchCandidate> bracket_fair_crossing(
+    int last_k, const std::function<SwitchCandidate(int)>& evaluate);
+
+/// Finds the fair optimal switch point over k = 1..max_k, stopping after the
+/// first k whose switch time exceeds 64 MTBFs: with keep_sweep by scanning
+/// every k, without it by bracket_fair_crossing over the same domain.
 SwitchSolution solve_switch_point(const ShirazModel& model, const AppSpec& lw,
                                   const AppSpec& hw, const SolverOptions& options = {});
 

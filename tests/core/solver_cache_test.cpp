@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -113,6 +114,11 @@ TEST(SolverCacheTest, SharedRegistryFoldsCountersIntoTheSnapshot) {
   EXPECT_EQ(registry->counter("shiraz_solver_cache_misses_total").value(), 1u);
   EXPECT_EQ(registry->counter("shiraz_solver_cache_hits_total").value(), 1u);
   EXPECT_EQ(registry->gauge("shiraz_solver_cache_entries").value(), 1.0);
+  // Only the miss solved: its model evaluations, exactly as a direct solve
+  // counts them.
+  EXPECT_EQ(registry->counter("shiraz_solver_model_evaluations_total").value(),
+            static_cast<std::uint64_t>(
+                direct_solve(key_for(18.0, 1800.0)).model_evaluations));
 
   const SolverCache::Stats s = cache.stats();
   EXPECT_EQ(s.misses, 1u);
@@ -120,6 +126,8 @@ TEST(SolverCacheTest, SharedRegistryFoldsCountersIntoTheSnapshot) {
 
   cache.clear();
   EXPECT_EQ(registry->counter("shiraz_solver_cache_misses_total").value(), 0u);
+  EXPECT_EQ(registry->counter("shiraz_solver_model_evaluations_total").value(),
+            0u);
   EXPECT_EQ(registry->gauge("shiraz_solver_cache_entries").value(), 0.0);
 }
 

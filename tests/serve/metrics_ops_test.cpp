@@ -68,6 +68,12 @@ TEST(ServeMetricsOps, MetricsOpSnapshotsTheRegistry) {
   ASSERT_NE(misses, nullptr);
   EXPECT_EQ(hits->at("value").number, 1.0);
   EXPECT_EQ(misses->at("value").number, 1.0);
+  // The miss's work: the paper point's bracketed search evaluates the model
+  // at 10 switch points; the hit evaluates none.
+  const JsonValue* evaluations =
+      find_metric(snap, "shiraz_solver_model_evaluations_total");
+  ASSERT_NE(evaluations, nullptr);
+  EXPECT_EQ(evaluations->at("value").number, 10.0);
   // The request that produced this response is itself counted.
   const JsonValue* total = find_metric(snap, "shiraz_serve_requests_total");
   ASSERT_NE(total, nullptr);

@@ -300,6 +300,8 @@ TEST(ShirazctlCli, MetricsSnapshotsALiveDaemon) {
       << r.output;
   EXPECT_NE(r.output.find("shiraz_solver_cache_misses_total"),
             std::string::npos);
+  EXPECT_NE(r.output.find("shiraz_solver_model_evaluations_total"),
+            std::string::npos);
   // Prometheus mode emits the text exposition.
   EXPECT_NE(r.output.find("# TYPE shiraz_serve_requests_total counter"),
             std::string::npos);
