@@ -37,7 +37,6 @@ BathtubWeibull::BathtubWeibull(double infant_shape, Seconds infant_scale,
   SHIRAZ_REQUIRE(b2_ > 1.0, "bathtub wear shape must exceed 1 for an increasing arm");
   SHIRAZ_REQUIRE(s1_ > 0.0, "bathtub infant scale must be positive");
   SHIRAZ_REQUIRE(s2_ > 0.0, "bathtub wear scale must be positive");
-  mean_ = integrate_mean(*this);
 }
 
 double BathtubWeibull::cumulative_hazard(Seconds t) const {
@@ -58,7 +57,10 @@ double BathtubWeibull::pdf(Seconds t) const {
   return h * std::exp(-cumulative_hazard(t));
 }
 
-Seconds BathtubWeibull::mean() const { return mean_; }
+Seconds BathtubWeibull::mean() const {
+  std::call_once(mean_->once, [this] { mean_->value = integrate_mean(*this); });
+  return mean_->value;
+}
 
 Seconds BathtubWeibull::quantile(double u) const {
   SHIRAZ_REQUIRE(u >= 0.0 && u < 1.0, "quantile u must be in [0,1)");

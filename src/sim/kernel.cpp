@@ -71,11 +71,13 @@ struct Binade {
   /// whose sum stays there, read at x = 2^e (c > 0); -1 when c is a tie
   /// (|c − that| == u/2), where the rounding would depend on x; 2^53, more
   /// than any walk inside the binade covers, when even 2^e + c leaves it.
-  std::int64_t step(Seconds c) const {
+  /// With `even`, for the x whose n is even: a tie rounds each of their sums
+  /// to the even neighbour, so it adds the same even ulps it adds at 2^e.
+  std::int64_t step(Seconds c, bool even = false) const {
     const Seconds bottom = std::bit_cast<Seconds>(exponent << 52);  // 2^e
     const Seconds added = (bottom + c) - bottom;
     if (added >= bottom) return kTop;
-    if (std::abs(c - added) == 0.5 * u) return -1;
+    if (!even && std::abs(c - added) == 0.5 * u) return -1;
     return static_cast<std::int64_t>(added * per_u);
   }
 
@@ -100,10 +102,80 @@ struct Binade {
 /// (measured, DESIGN.md §10).
 constexpr std::int64_t kCountCutoff = 2;
 
-/// Whole segments a jump in run_flat must skip: a jump sits on the clock's
-/// dependent chain and costs about as much as a couple of dozen segment
-/// steps, so shorter ones lose (measured, DESIGN.md §10).
-constexpr std::int64_t kJumpCutoff = 24;
+/// Whole segments a jump in run_flat must skip: a jump reads only the
+/// clock's binade and costs about as much as a segment step or two, so all
+/// but single segments pay (measured, DESIGN.md §10).
+constexpr std::int64_t kJumpCutoff = 2;
+
+}  // namespace
+
+IteratedSum::IteratedSum(Seconds x0, Seconds c) { restart(x0, c); }
+
+void IteratedSum::restart(Seconds x0, Seconds c) {
+  c_ = c;
+  runs_.clear();
+  runs_.push_back(run_from(0, x0));
+}
+
+IteratedSum::Run IteratedSum::run_from(std::size_t first, Seconds x) const {
+  Run run{first, first, x, 0, 0, 0.0};
+  Binade bin;
+  if (Binade::of(x, &bin)) {
+    // From an even n a tie adds even ulps, so every later sum is even too.
+    const std::int64_t d = bin.step(c_, Binade::units(x) % 2 == 0);
+    if (d >= 0) {  // not a tie from an odd n
+      run.n = Binade::units(x);
+      run.d = d;
+      run.u = bin.u;
+      run.last = first + static_cast<std::size_t>(Binade::room(run.n, d));
+    }
+  }
+  return run;
+}
+
+Seconds IteratedSum::after(std::size_t m) {
+  while (runs_.back().last < m) {
+    // The add past the last run: the first from 0, a tie's from odd units,
+    // or the one that crosses a power of two.
+    Run& last = runs_.back();
+    const Seconds x = at(last, last.last);
+    const Seconds next = x + c_;
+    if (next == x) {
+      last.last = static_cast<std::size_t>(-1);  // no add moves it again
+    } else {
+      runs_.push_back(run_from(last.last + 1, next));
+    }
+  }
+  const Run* run = runs_.data();
+  while (run->last < m) ++run;
+  return at(*run, m);
+}
+
+Seconds IteratedSum::at(const Run& run, std::size_t m) {
+  if (run.d == 0) return run.start;
+  return static_cast<Seconds>(run.n + static_cast<std::int64_t>(m - run.first) * run.d) *
+         run.u;
+}
+
+namespace {
+
+/// `c` summed m times from 0.0, read off this thread's path for c. A
+/// campaign's repetitions share every app's tau and delta, so after its
+/// first repetition on a thread each sum is a lookup; a pure function of
+/// (c, m), so which thread or slot answers never changes a bit.
+Seconds summed(Seconds c, std::size_t m) {
+  constexpr std::size_t kPaths = 16;
+  thread_local std::vector<IteratedSum> paths;
+  thread_local std::size_t oldest = 0;
+  for (IteratedSum& path : paths) {
+    if (path.step() == c) return path.after(m);
+  }
+  if (paths.size() < kPaths) return paths.emplace_back(0.0, c).after(m);
+  IteratedSum& path = paths[oldest];
+  oldest = (oldest + 1) % kPaths;
+  path.restart(0.0, c);
+  return path.after(m);
+}
 
 /// The stop bound of a gap's walk, as the engine's stop test reads it: a
 /// segment ending at seg_end completes iff seg_end <= next_fail when the
@@ -121,32 +193,30 @@ bool span_in_binade(const Binade& bin, Seconds start, Seconds next_fail,
   return true;
 }
 
-/// A jump over a phase's whole segments: the run's clock and the running
-/// app's `useful` and `io` after `segments` of them (0: unmoved), and how
-/// many segments the per-segment loop steps before the next try.
+/// A jump over a phase's whole segments: the run's clock after `segments`
+/// of them (0: unmoved), and how many segments the per-segment loop steps
+/// before the next try.
 struct Jump {
   static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
 
   std::size_t segments = 0;
   Seconds now = 0.0;
-  Seconds useful = 0.0;
-  Seconds io = 0.0;
   std::size_t retry_after = kNever;
 };
 
 /// Jumps a phase that has `budget` segments to go from `now` over the whole
 /// segments before the one that stops the run or ends the budget, as far as
-/// the clock, `useful` and `io` each stay inside their own binade: each
-/// segment adds the same ulps to each there, so m segments add m times
-/// those ulps, the values the engine's m rounds of `+=` reach (DESIGN.md
-/// §10). Segments that stay in the clock's binade all complete, since the
-/// stop bound is past a binade that does not hold it. A jump shorter than
-/// kJumpCutoff or a tie leaves the run unmoved; when a binade top (or a
-/// zero, the clock's and accumulators' start) is what cut the jump short,
-/// the next try comes after the segment that crosses it.
+/// the clock stays inside its binade: each segment adds the same ulps to it
+/// there, so m segments add m times those ulps, the value the engine's m
+/// rounds of `now + tau + delta` reach (DESIGN.md §10). Segments that stay in
+/// the binade all complete, since the stop bound is past a binade that does
+/// not hold it. A jump shorter than kJumpCutoff or a tie leaves the run
+/// unmoved; when the binade's top (or a zero clock, the first gap's start)
+/// is what cut the jump short, the next try comes after the segment that
+/// crosses it.
 Jump jump_segments(Seconds now, Seconds next_fail, Seconds horizon, Seconds tau,
-                   Seconds delta, Seconds useful, Seconds io, std::size_t budget) {
-  Jump out{0, now, useful, io, Jump::kNever};
+                   Seconds delta, std::size_t budget) {
+  Jump out{0, now, Jump::kNever};
   // Most phases are short: rule them out before any integer work. Rounding
   // makes this estimate of the segments before the bound inexact, which
   // only moves where a jump starts paying, not what it computes.
@@ -156,38 +226,26 @@ Jump jump_segments(Seconds now, Seconds next_fail, Seconds horizon, Seconds tau,
     return out;
   }
   Binade clock;
-  Binade bu;
-  Binade bi;
-  if (!Binade::of(now, &clock) || !Binade::of(useful, &bu) ||
-      !Binade::of(io, &bi)) {
+  if (!Binade::of(now, &clock)) {
     out.retry_after = 1;
     return out;
   }
   const std::int64_t d_tau = clock.step(tau);
   const std::int64_t d_delta = clock.step(delta);
   const std::int64_t d = d_tau + d_delta;
-  const std::int64_t d_useful = bu.step(tau);
-  const std::int64_t d_io = bi.step(delta);
-  if (std::min({d_tau, d_delta, d_useful, d_io}) < 0 || d == 0 || d >= Binade::kTop) {
-    return out;
-  }
+  if (std::min(d_tau, d_delta) < 0 || d == 0 || d >= Binade::kTop) return out;
   // The segments before the stopping or budget-ending one: the budget's,
-  // unless the stop bound is in the clock's binade and comes first.
+  // unless the stop bound is in the binade and comes first.
   const std::int64_t n_now = Binade::units(now);
-  const std::int64_t n_useful = Binade::units(useful);
-  const std::int64_t n_io = Binade::units(io);
   std::int64_t m = static_cast<std::int64_t>(
       std::min(budget - 1, static_cast<std::size_t>(Binade::kTop)));
   std::int64_t span = 0;
-  const bool bound_in_binade = span_in_binade(clock, now, next_fail, horizon, &span);
-  if (bound_in_binade && (m >= 1024 || m * d > span)) m = std::min(m, span / d);
-  if (m < kJumpCutoff) return out;
-  if (!(bound_in_binade || Binade::fits(n_now, m, d)) ||
-      !Binade::fits(n_useful, m, d_useful) || !Binade::fits(n_io, m, d_io)) {
-    // A binade top comes first: jump to it, then step across.
-    const std::int64_t room =
-        std::min({Binade::room(n_now, d), Binade::room(n_useful, d_useful),
-                  Binade::room(n_io, d_io)});
+  if (span_in_binade(clock, now, next_fail, horizon, &span)) {
+    if (m >= 1024 || m * d > span) m = std::min(m, span / d);
+    if (m < kJumpCutoff) return out;
+  } else if (!Binade::fits(n_now, m, d)) {
+    // The binade's top comes first: jump to it, then step across.
+    const std::int64_t room = Binade::room(n_now, d);
     out.retry_after = static_cast<std::size_t>(room) + 1;
     if (room < kJumpCutoff) return out;
     m = room;
@@ -195,8 +253,6 @@ Jump jump_segments(Seconds now, Seconds next_fail, Seconds horizon, Seconds tau,
   }
   out.segments = static_cast<std::size_t>(m);
   out.now = clock.at(n_now + m * d);
-  out.useful = bu.at(n_useful + m * d_useful);
-  out.io = bi.at(n_io + m * d_io);
   return out;
 }
 
@@ -253,18 +309,12 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
     Seconds tau = taus[ai];
     Seconds delta = deltas[ai];
     AppMetrics* am = &res.apps[ai];
-    // The running app's useful/io/checkpoints live in locals, written back at
-    // a failure, at the horizon and at an app change: through `am` every
-    // segment's adds would go to memory (a double store may alias the failure
-    // times, a size_t store the plan's budgets). Same doubles, same order.
-    Seconds useful = am->useful;
-    Seconds io = am->io;
+    // Apps only count their segments here: the running app's count lives in
+    // a local, written back at a failure, at the horizon and at an app change
+    // (through `am` every segment's increment would go to memory, since a
+    // size_t store may alias the plan's budgets), and the useful and io sums
+    // are built from the counts at the horizon.
     std::size_t checkpoints = am->checkpoints;
-    auto flush = [&] {
-      am->useful = useful;
-      am->io = io;
-      am->checkpoints = checkpoints;
-    };
     std::size_t done_in_phase = 0;
     [[maybe_unused]] std::size_t next_jump = 0;  // done_in_phase of the next try
     for (;;) {
@@ -274,11 +324,9 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
       // everything else, and every narrated run, steps segment by segment.
       if constexpr (!kNarrate) {
         if (done_in_phase == next_jump) {
-          const Jump j = jump_segments(now, next_fail, horizon, tau, delta, useful,
-                                       io, plan[phase].budget - done_in_phase);
+          const Jump j = jump_segments(now, next_fail, horizon, tau, delta,
+                                       plan[phase].budget - done_in_phase);
           now = j.now;
-          useful = j.useful;
-          io = j.io;
           checkpoints += j.segments;
           done_in_phase += j.segments;
           next_jump = j.retry_after == Jump::kNever ? Jump::kNever
@@ -290,7 +338,7 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
       const Seconds write_start = now + tau;
       const Seconds seg_end = write_start + delta;
       if (horizon <= seg_end && horizon <= next_fail) {
-        flush();
+        am->checkpoints = checkpoints;
         res.truncated += horizon - now;
         if constexpr (kNarrate) {
           if (horizon > write_start) {
@@ -298,10 +346,17 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
           }
           emit(sink, obs::EventKind::kHorizonTruncated, now, horizon - now, ai);
         }
+        // The engine adds an app's tau to its useful work and its delta to
+        // its io once per completed segment, from 0.0.
+        for (std::size_t i = 0; i < napps; ++i) {
+          AppMetrics& app = res.apps[i];
+          app.useful = summed(taus[i], app.checkpoints);
+          app.io = summed(deltas[i], app.checkpoints);
+        }
         return res;  // `now = horizon` in the engine; nothing reads it after
       }
       if (next_fail < seg_end) {
-        flush();
+        am->checkpoints = checkpoints;
         am->lost += next_fail - now;
         if constexpr (kNarrate) {
           if (next_fail > write_start) {
@@ -317,8 +372,6 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
         if (++plan_idx == cycle) plan_idx = 0;
         break;  // next gap: re-plan from the new failure count
       }
-      useful += tau;
-      io += delta;
       ++checkpoints;
       if constexpr (kNarrate) {
         emit(sink, obs::EventKind::kCheckpointBegin, write_start, 0.0, ai);
@@ -329,7 +382,7 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
         ++phase;
         const std::size_t next_app = plan[phase].app;
         if (next_app != ai) {
-          flush();
+          am->checkpoints = checkpoints;
           ++res.switches;  // free hand-off (switch_cost 0)
           if constexpr (kNarrate) {
             // The loop's switch span is `switch_end - now` with
@@ -341,8 +394,6 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
           tau = taus[ai];
           delta = deltas[ai];
           am = &res.apps[ai];
-          useful = am->useful;
-          io = am->io;
           checkpoints = am->checkpoints;
         }
         done_in_phase = 0;
@@ -459,10 +510,9 @@ void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
       if (i == completed - k_lo_sz) return true;
       q -= lw_q;
       r -= lw_r;
-      if (r < 0) {
-        r += d_hw;
-        --q;
-      }
+      const std::int64_t borrow = r >> 63;  // -1 when r went negative, else 0
+      r += borrow & d_hw;
+      q += borrow;
     }
   };
 

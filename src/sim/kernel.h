@@ -6,15 +6,17 @@
 // materialized FailureTrace is fully determined by the trace's prefix-sum
 // array. The kernel walks that array directly: no virtual next_interval per
 // segment, no SchedContext construction, no per-gap checkpoint-count
-// vectors — just the engine's three comparisons and its accumulator
-// additions per segment.
+// vectors — just the engine's three comparisons and a segment count per
+// segment.
 //
 // Bit-identity contract (the same one sim/optimizer.cpp's sweep documents):
-// the kernel performs the engine's useful/io/lost/truncated additions on the
-// same doubles in the same chronological order, resolves every segment with
-// the engine's exact comparison structure (`write_start = now + tau;
-// seg_end = write_start + delta`; truncate iff horizon <= min(seg_end,
-// next_fail); fail iff next_fail < seg_end), and reads failure times from
+// the kernel performs the engine's lost/truncated additions on the same
+// doubles in the same chronological order, builds each app's useful/io from
+// its segment count with the engine's adds (m rounds of `+= tau`, or of
+// `+= delta`, from 0.0: IteratedSum), resolves every segment with the
+// engine's exact comparison structure (`write_start = now + tau; seg_end =
+// write_start + delta`; truncate iff horizon <= min(seg_end, next_fail);
+// fail iff next_fail < seg_end), and reads failure times from
 // FailureTrace::fail_times() — prefix sums built with the additions a live
 // run performs. The result therefore equals Engine::replay bit for bit
 // (enforced by tests/sim/kernel_test.cpp and micro_engine_throughput
@@ -33,6 +35,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -56,15 +59,58 @@ namespace shiraz::sim {
 /// above). When every rule holds, replays one repetition of `trace` — whose
 /// horizon must cover the config's — into `*out`, narrating into `sink` when
 /// it is non-null, and returns nullptr: exactly what Engine::replay returns
-/// and narrates for the same inputs. Without a sink, a phase's whole
-/// segments before the one that stops the run or ends the phase's budget go
-/// in one integer jump wherever the clock and the running app's useful and
-/// io accumulators each stay inside one binade (DESIGN.md §10); the rest,
-/// and every narrated run, step segment by segment.
+/// and narrates for the same inputs. Apps count their completed segments,
+/// and each app's useful work and io are read at the horizon off an
+/// IteratedSum path for its count (each thread keeps its recent paths).
+/// Without a sink, a phase's whole segments before the one that stops the
+/// run or ends the phase's budget go in one integer jump wherever the clock
+/// stays inside one binade (DESIGN.md §10); the rest, and every narrated
+/// run, step segment by segment.
 const char* try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
                             const Scheduler& scheduler, const AlarmSource* alarms,
                             obs::EventSink* sink, const FailureTrace& trace,
                             SimResult* out);
+
+/// The values of m rounds of `x += c` from x0 (x0 >= 0, c > 0), bit for
+/// bit: the engine's accumulation of one app's m equal adds, from 0.0. Inside
+/// a binade of the running sum every add is the same whole number of ulps
+/// (DESIGN.md §10), and where c is a tie so is every add from even units on,
+/// since a tie rounds to the even neighbour. So the path is kept as straight
+/// runs, about one per binade, and only the first add from 0, a tie's add
+/// from odd units and the adds that cross a power of two are performed. The
+/// path grows as far as it is asked; an add that leaves the sum unchanged
+/// ends it.
+class IteratedSum {
+ public:
+  IteratedSum(Seconds x0, Seconds c);
+
+  /// Starts the path over from x0 with step c, keeping its storage.
+  void restart(Seconds x0, Seconds c);
+  Seconds step() const { return c_; }
+  /// x0 after m adds.
+  Seconds after(std::size_t m);
+
+ private:
+  /// Counts first..last: the sum is `start` at first and gains d ulps u per
+  /// add (d == 0: `start` throughout).
+  struct Run {
+    std::size_t first;
+    std::size_t last;
+    Seconds start;
+    std::int64_t n;  // start in ulps u, when d > 0
+    std::int64_t d;
+    Seconds u;
+  };
+
+  /// The run that starts at count `first` with sum x: the adds that keep x's
+  /// binade, or x alone where it has none or c is a tie there and x's units
+  /// are odd.
+  Run run_from(std::size_t first, Seconds x) const;
+  static Seconds at(const Run& run, std::size_t m);
+
+  Seconds c_ = 0.0;
+  std::vector<Run> runs_;
+};
 
 /// One repetition of the shared-prefix k sweep on the kernel: the flat
 /// counterpart of sim/optimizer.cpp's sweep_one_rep for periodic schedules,

@@ -6,9 +6,11 @@
 // must actually be non-monotone, the drifting beta must actually drift.
 #include <cmath>
 #include <functional>
+#include <latch>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -267,6 +269,37 @@ TEST(BathtubWeibull, SampleGapsMatchesSampleLoopBitForBit) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(d.sample(rl), batch[i]) << "i=" << i;
   }
+}
+
+// The bathtub mean is integrated on the first mean() call, not at
+// construction: every route to it returns the bits the eager integral had
+// (pinned below for the bathtub-wearout scenario's parameters).
+TEST(BathtubMean, FirstUseReturnsTheEagerIntegralsBits) {
+  const Seconds eager = 0x1.4c89bfd0b889p+15;
+  const auto make = [] { return BathtubWeibull(0.5, hours(8.0), 2.5, hours(72.0)); };
+  EXPECT_EQ(make().mean(), eager);
+
+  const BathtubWeibull original = make();
+  const DistributionPtr before = original.clone();
+  EXPECT_EQ(before->mean(), eager);  // the clone asks first
+  EXPECT_EQ(original.mean(), eager);
+  const DistributionPtr after = original.clone();
+  EXPECT_EQ(after->mean(), eager);
+
+  // Eight threads race the first call (the TSan CI job runs this suite).
+  const BathtubWeibull raced = make();
+  constexpr std::size_t kThreads = 8;
+  std::vector<Seconds> seen(kThreads, 0.0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      seen[i] = raced.mean();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < kThreads; ++i) EXPECT_EQ(seen[i], eager) << "thread " << i;
 }
 
 /// Gaps from `regime` over reps forked off kSeed, concatenated per rep.

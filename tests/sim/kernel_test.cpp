@@ -499,6 +499,111 @@ INSTANTIATE_TEST_SUITE_P(Corpus, FlatKernelSweepCorpus,
                          });
 
 // ---------------------------------------------------------------------------
+// The count -> sum construction: run_flat counts each app's segments and
+// reads its useful work and io off an IteratedSum path from 0.0, which must
+// equal the engine's m sequential adds bit for bit.
+
+/// IteratedSum(x0, c) against m sequential `x += c` from x0: at every count
+/// up to 300 and at 200 random counts up to max_m, plus max_m itself, asked
+/// in a random order, so the path is both extended and read behind its end.
+void expect_sequential_adds(Seconds x0, Seconds c, std::size_t max_m, Rng& rng) {
+  SCOPED_TRACE(::testing::Message() << std::hexfloat << "x0 " << x0 << ", c " << c
+                                    << std::defaultfloat << ", m <= " << max_m);
+  std::vector<Seconds> want(max_m + 1, x0);
+  for (std::size_t m = 1; m <= max_m; ++m) want[m] = want[m - 1] + c;
+  auto below = [&rng](std::size_t n) {  // uniform in [0, n]
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n)));
+  };
+  std::vector<std::size_t> counts;
+  for (std::size_t m = 0; m <= std::min<std::size_t>(max_m, 300); ++m) {
+    counts.push_back(m);
+  }
+  for (int i = 0; i < 200; ++i) counts.push_back(below(max_m));
+  counts.push_back(max_m);
+  for (std::size_t i = counts.size() - 1; i > 0; --i) {
+    std::swap(counts[i], counts[below(i)]);
+  }
+  IteratedSum path(x0, c);
+  for (const std::size_t m : counts) {
+    const Seconds got = path.after(m);
+    ASSERT_EQ(got, want[m]) << "m = " << m << std::hexfloat << ": " << got << " vs "
+                            << want[m];
+  }
+}
+
+TEST(IteratedSum, MatchesSequentialAddsForRandomSteps) {
+  Rng rng(kSeed);
+  for (int i = 0; i < 48; ++i) {
+    const Seconds c = std::exp(rng.uniform(std::log(1e-3), std::log(1e5)));
+    expect_sequential_adds(0.0, c, static_cast<std::size_t>(rng.uniform_int(1, 200'000)),
+                           rng);
+  }
+}
+
+TEST(IteratedSum, MatchesSequentialAddsForTieProneSteps) {
+  // c = odd * 2^k is a tie in the binade whose ulp is 2^(k+1). With a small
+  // odd (1.5 * 2^k) that binade lies past every sum here; with an odd of 36
+  // to 52 bits the sum walks into it after 2^17 adds or far fewer, and a
+  // tie's rounding there depends on the sum's parity.
+  Rng rng(kSeed + 1);
+  for (int k = -12; k <= 12; k += 4) {
+    expect_sequential_adds(0.0, std::ldexp(1.5, k), 200'000, rng);
+    expect_sequential_adds(0.0, std::ldexp(5.0, k), 100'000, rng);
+  }
+  for (int i = 0; i < 24; ++i) {
+    const int bits = static_cast<int>(rng.uniform_int(36, 52));
+    const std::int64_t odd =
+        rng.uniform_int(std::int64_t{1} << (bits - 1), (std::int64_t{1} << bits) - 1) | 1;
+    const int k = static_cast<int>(rng.uniform_int(-bits - 10, -bits + 17));
+    expect_sequential_adds(0.0, std::ldexp(static_cast<Seconds>(odd), k), 200'000, rng);
+  }
+  // The edge traces' tie costs (kEdgeCosts below): lowest bits at 2^-34 to
+  // 2^-37, ties in binades that sums of a few hundred adds reach.
+  for (const Seconds c :
+       {823.0 + 0x1p-35, 18.0 + 0x1p-36, 8050.0 + 0x1p-34, 1800.0 + 0x1p-37}) {
+    expect_sequential_adds(0.0, c, 200'000, rng);
+  }
+}
+
+TEST(IteratedSum, MatchesSequentialAddsForPowersOfTwo) {
+  Rng rng(kSeed + 2);
+  for (int k = -20; k <= 16; k += 3) {
+    expect_sequential_adds(0.0, std::ldexp(1.0, k), 200'000, rng);
+  }
+}
+
+TEST(IteratedSum, StepsBelowHalfAnUlpLeaveTheSumWhereItRounds) {
+  // From 2^60 (ulp 256, even units): an add below half an ulp never moves the
+  // sum; exactly half an ulp rounds to the even neighbour, so the sum stays
+  // from even units and moves once from odd ones; just above half an ulp
+  // every add is a whole ulp.
+  Rng rng(kSeed + 3);
+  const Seconds x0 = 0x1p60;
+  for (const Seconds c : {1.0, 127.0, 128.0, 129.0, 383.0, 384.0}) {
+    expect_sequential_adds(x0, c, 5'000, rng);
+    expect_sequential_adds(x0 + 256.0, c, 5'000, rng);
+  }
+  // Past any count a sequential loop could check: a sum no add moves.
+  for (const Seconds c : {1.0, 128.0}) {
+    IteratedSum path(x0, c);
+    EXPECT_EQ(path.after(std::size_t{1} << 60), x0);
+  }
+  IteratedSum odd(x0 + 256.0, 128.0);
+  EXPECT_EQ(odd.after(std::size_t{1} << 60), x0 + 512.0);
+}
+
+TEST(IteratedSum, NoAddsAndOneAdd) {
+  for (const Seconds c : {1e-3, 18.0, std::sqrt(2.0 * hours(24.0) * 1800.0), 0x1p20}) {
+    IteratedSum path(0.0, c);
+    EXPECT_EQ(path.after(1), c);
+    EXPECT_EQ(path.after(0), 0.0);
+    IteratedSum from(1000.0, c);
+    EXPECT_EQ(from.after(0), 1000.0);
+    EXPECT_EQ(from.after(1), 1000.0 + c);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The closed forms (DESIGN.md §10) on traces built to sit on their edges.
 // Inside one binade the kernel counts a walk's segments instead of stepping
 // them. Here every failure lands on, or one ulp either side of, a segment
@@ -620,7 +725,8 @@ TEST(FlatKernel, SweepMatchesTheEventLoopOnEdgeTraces) {
 
 TEST(FlatKernel, CampaignsMatchTheEventLoopOnEdgeTraces) {
   // ShirazPair(30) and (60) end their light-weight budget inside a walk the
-  // kernel jumps; (3) never jumps it; (1) switches at once.
+  // kernel jumps; (2) and (3) sit on and just past the jump cutoff; (1)
+  // switches at once.
   for (const EdgeCosts& c : kEdgeCosts) {
     for (const Seconds start : kEdgeStarts) {
       for (const Seconds horizon : kEdgeHorizons) {
@@ -635,7 +741,7 @@ TEST(FlatKernel, CampaignsMatchTheEventLoopOnEdgeTraces) {
         const std::vector<SimJob> jobs = edge_jobs(c);
         expect_identical(flat.run_many(jobs, AlternateAtFailure(), kReps, kSeed, opts),
                          loop.run_many(jobs, AlternateAtFailure(), kReps, kSeed, opts));
-        for (const int k : {1, 3, 30, 60}) {
+        for (const int k : {1, 2, 3, 30, 60}) {
           SCOPED_TRACE(::testing::Message() << "ShirazPair(" << k << ")");
           const ShirazPairScheduler shiraz(k);
           expect_identical(flat.run_many(jobs, shiraz, kReps, kSeed, opts),
@@ -644,6 +750,32 @@ TEST(FlatKernel, CampaignsMatchTheEventLoopOnEdgeTraces) {
       }
     }
   }
+}
+
+/// The kernel, silent and narrating, against the event loop on one trace.
+void expect_kernel_matches_event_loop(const std::vector<SimJob>& jobs,
+                                      const Scheduler& sched, const FailureTrace& trace) {
+  SCOPED_TRACE(sched.name());
+  EngineConfig cfg;
+  cfg.t_total = trace.horizon();
+  cfg.flat_kernel = false;
+  const Engine loop(reliability::Weibull::from_mtbf(0.6, hours(24.0)), cfg);
+  obs::EventRecorder loop_events;
+  EngineConfig narrated = cfg;
+  narrated.sink = &loop_events;
+  const SimResult want =
+      Engine(reliability::Weibull::from_mtbf(0.6, hours(24.0)), narrated)
+          .replay(jobs, sched, trace);
+  SimResult silent;
+  ASSERT_STREQ(try_flat_replay(cfg, jobs, sched, nullptr, nullptr, trace, &silent),
+               nullptr);
+  expect_identical(silent, want);
+  obs::EventRecorder kernel_events;
+  SimResult told;
+  ASSERT_STREQ(try_flat_replay(cfg, jobs, sched, nullptr, &kernel_events, trace, &told),
+               nullptr);
+  expect_identical(told, want);
+  expect_same_stream(kernel_events.events(), loop_events.events());
 }
 
 TEST(FlatKernel, ClosedFormsMatchTheEventLoopWhereTheHorizonIsAnEdge) {
@@ -670,20 +802,15 @@ TEST(FlatKernel, ClosedFormsMatchTheEventLoopWhereTheHorizonIsAnEdge) {
       const FailureTrace trace(std::move(gaps), horizon);
       SCOPED_TRACE(::testing::Message() << c.name << " costs, seed " << seed);
 
+      expect_kernel_matches_event_loop(jobs, AlternateAtFailure(), trace);
+      for (const int k : {2, 3, 30, 60}) {
+        expect_kernel_matches_event_loop(jobs, ShirazPairScheduler(k), trace);
+      }
+
       EngineConfig cfg;
       cfg.t_total = horizon;
       cfg.flat_kernel = false;
       const Engine loop(reliability::Weibull::from_mtbf(0.6, hours(24.0)), cfg);
-      auto expect_kernel_matches = [&](const Scheduler& sched) {
-        SimResult via_kernel;
-        ASSERT_STREQ(try_flat_replay(cfg, jobs, sched, nullptr, nullptr, trace,
-                                     &via_kernel),
-                     nullptr);
-        expect_identical(via_kernel, loop.replay(jobs, sched, trace));
-      };
-      expect_kernel_matches(AlternateAtFailure());
-      for (const int k : {3, 30, 60}) expect_kernel_matches(ShirazPairScheduler(k));
-
       constexpr int kLo = 1;
       constexpr std::size_t kCandidates = 64;
       std::vector<std::size_t> lw(kCandidates);
@@ -721,17 +848,10 @@ TEST(FlatKernel, ClosedFormsMatchTheEventLoopForPhasesOfThousandsOfSegments) {
   cfg.t_total = horizon;
   cfg.flat_kernel = false;
   const Engine loop(reliability::Weibull::from_mtbf(0.6, hours(24.0)), cfg);
-  auto expect_kernel_matches = [&](const Scheduler& sched) {
-    SCOPED_TRACE(sched.name());
-    SimResult via_kernel;
-    ASSERT_STREQ(try_flat_replay(cfg, jobs, sched, nullptr, nullptr, trace, &via_kernel),
-                 nullptr);
-    expect_identical(via_kernel, loop.replay(jobs, sched, trace));
-  };
-  expect_kernel_matches(AlternateAtFailure());
+  expect_kernel_matches_event_loop(jobs, AlternateAtFailure(), trace);
   for (const int k : {1023, 1024, 1025, 1500, 2000, 2999, 3000, 4000}) {
     SCOPED_TRACE(::testing::Message() << "ShirazPair(" << k << ")");
-    expect_kernel_matches(ShirazPairScheduler(k));
+    expect_kernel_matches_event_loop(jobs, ShirazPairScheduler(k), trace);
   }
 
   constexpr std::size_t kCandidates = 64;
@@ -746,6 +866,48 @@ TEST(FlatKernel, ClosedFormsMatchTheEventLoopForPhasesOfThousandsOfSegments) {
       EXPECT_EQ(lw[i], want.apps[0].checkpoints) << "k = " << k;
       EXPECT_EQ(hw[i], want.apps[1].checkpoints) << "k = " << k;
     }
+  }
+}
+
+TEST(FlatKernel, AppsThatCompleteNoSegmentOrOne) {
+  // The baseline hands gap i to app i % 2. A failure exactly on the light
+  // app's first segment end completes it (inclusive); the heavy app's gap
+  // ends halfway through its first segment; the horizon comes before any
+  // segment of the next turn ends. So a repetition credits one segment and
+  // none, or none at all when the first gap wipes too.
+  const EdgeCosts& c = kEdgeCosts[0];
+  const std::vector<SimJob> jobs = edge_jobs(c);
+  const Seconds lw_segment = c.tau_lw + c.delta_lw;
+  const Seconds hw_half = 0.5 * c.tau_hw;
+  for (const Seconds first : {lw_segment, std::nextafter(lw_segment, 0.0)}) {
+    SCOPED_TRACE(::testing::Message() << std::hexfloat << "first gap " << first);
+    const Seconds horizon = first + hw_half + 0.5 * lw_segment;
+    const FailureTrace trace({first, hw_half, hours(1.0)}, horizon);
+    expect_kernel_matches_event_loop(jobs, AlternateAtFailure(), trace);
+    expect_kernel_matches_event_loop(jobs, ShirazPairScheduler(1), trace);
+  }
+  // No failure at all: one app runs to a horizon before its first segment
+  // ends, or just past it.
+  for (const Seconds horizon : {0.5 * lw_segment, lw_segment + 1.0}) {
+    const FailureTrace trace({hours(10.0)}, horizon);
+    expect_kernel_matches_event_loop(jobs, AlternateAtFailure(), trace);
+  }
+}
+
+TEST(FlatKernel, SumsThatCrossManyPowersOfTwoInsideOnePhase) {
+  // Sub-second periods through gaps of thousands of seconds: inside the
+  // first gap's one phase the light app's useful work and io each climb
+  // through some seventeen powers of two (about 155k segments), the heavy
+  // app's through a dozen in the second, while the clock jumps across 2^12
+  // and 2^13.
+  const EdgeCosts c{"fine", 0.0123 + 0x1p-40, 0.00711, 0.37, 0.0209 + 0x1p-42};
+  const std::vector<SimJob> jobs = edge_jobs(c);
+  const FailureTrace trace({3000.3, 2500.25, 4000.0 + 0x1p-20, 1023.3},
+                           3000.3 + 2500.25 + 4000.0 + 512.0);
+  expect_kernel_matches_event_loop(jobs, AlternateAtFailure(), trace);
+  for (const int k : {2, 1000, 300'000}) {
+    SCOPED_TRACE(::testing::Message() << "ShirazPair(" << k << ")");
+    expect_kernel_matches_event_loop(jobs, ShirazPairScheduler(k), trace);
   }
 }
 
